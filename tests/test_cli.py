@@ -1,5 +1,7 @@
 """CLI tests: exit codes, artifact layout, and determinism across threads."""
 
+from pathlib import Path
+
 import pytest
 
 from mixlab.cli import main
@@ -54,6 +56,9 @@ probes = 200
 burn_in = 5
 depth = 8
 """
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cfg(tmp_path, text, name="exp.cfg"):
@@ -256,3 +261,22 @@ def test_out_flag_overrides_config_dir(tmp_path):
     assert (tmp_path / "from_cfg" / "validate_map.csv").exists()
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "validate_map.csv").exists()
+
+
+# -- committed artifacts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, config, artifact",
+    [
+        ("cohomology", "doubling_xsq", "witness.csv"),
+        ("tdist", "doubling_xsq", "tdist.csv"),
+        ("tails", "three_branch", "tails.csv"),
+    ],
+)
+def test_exact_artifacts_match_committed_out(tmp_path, command, config, artifact):
+    # these artifacts come from Fraction arithmetic alone, so their bytes do
+    # not depend on the numpy or BLAS build; float artifacts are left out
+    cfg = str(ROOT / "configs" / f"{config}.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / artifact).read_bytes() == (ROOT / "out" / config / artifact).read_bytes()
