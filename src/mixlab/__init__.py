@@ -11,8 +11,8 @@ from .errors import (
     BoundaryPoint,
     BracketUndefined,
     ConfigError,
+    CrossingBudgetExceeded,
     DepthOverflow,
-    FiberEscape,
     GeometryViolation,
     InadmissibleItinerary,
     InsufficientDepth,
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .markov_maps import (
     AffineBranch,
-    CallableBranch,
     ExpandingMarkovMap,
     InducedMap,
     TailStatistics,
@@ -58,7 +57,6 @@ from .skew_product import (
     disintegrate,
     eta_integral,
     sandwich_estimate,
-    smoothness_probe,
     validate_contraction,
     validate_invariance,
 )
@@ -88,7 +86,6 @@ from .transfer_operator import (
     resonance,
     resonances,
     spectral_gap,
-    ulam_consistency,
 )
 
 __version__ = "0.1.0"

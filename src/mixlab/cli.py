@@ -29,7 +29,7 @@ from .errors import ConfigError, InsufficientDepth, MixlabError, WindowTooShort
 from .markov_maps import ExpandingMarkovMap, tail_statistics
 from .roof import validate_roof, witness_search
 from .skew_product import validate_contraction, validate_invariance
-from .solenoid import attractor_sample, check_domination, cloud_csv
+from .solenoid import SolenoidModel, attractor_sample, check_domination, cloud_csv
 from .suspension import (
     correlation,
     default_observables,
@@ -117,9 +117,7 @@ def _flow_parts(cfg: ExperimentConfig):
 def _preserves_lebesgue(m: ExpandingMarkovMap) -> bool:
     # provable by inverse-branch weights alone: full branching with
     # sum 1/|slope| = 1 makes the constant density a fixed point
-    if not (m.is_affine and m.is_full_branch):
-        return False
-    return sum(Fraction(1, 1) / abs(Fraction(b.slope)) for b in m.branches) == 1
+    return m.is_full_branch and sum(1 / abs(Fraction(b.slope)) for b in m.branches) == 1
 
 
 def _base_density(cfg: ExperimentConfig, base_map: ExpandingMarkovMap):
@@ -128,23 +126,30 @@ def _base_density(cfg: ExperimentConfig, base_map: ExpandingMarkovMap):
     return invariant_density(build_ulam(base_map, cfg.run.bins))
 
 
+def _skew_axioms(cfg: ExperimentConfig, model: SolenoidModel, out_dir: str, name: str):
+    """Probe fiber contraction and invariance and write the rows to `name`.
+
+    Returns the worst contraction ratio, the worst overshoot, and the rows.
+    """
+    skew = model.skew
+    worst = validate_contraction(skew, pairs=cfg.run.pairs)
+    overshoot = validate_invariance(skew, probes=cfg.run.probes)
+    checks = [
+        ("fiber_contraction_ratio", worst, float(model.kappa) + 1e-12),
+        ("fiber_invariance_overshoot", overshoot, 1e-9),
+    ]
+    rows = [(a, "pass" if v <= tol else "fail", f"{v:.17g}", f"{tol:.17g}") for a, v, tol in checks]
+    _write_artifact(out_dir, name, _rows_csv(("axiom", "status", "worst", "tolerance"), rows))
+    return worst, overshoot, rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_validate(cfg: ExperimentConfig, rt: Runtime) -> int:
     if cfg.model.get("kind") == "solenoid":
-        model = build_solenoid(cfg)
-        skew = model.skew
-        kappa = float(model.kappa)
-        worst = validate_contraction(skew, pairs=cfg.run.pairs)
-        overshoot = validate_invariance(skew, probes=cfg.run.probes)
-        checks = [
-            ("fiber_contraction_ratio", worst, kappa + 1e-12),
-            ("fiber_invariance_overshoot", overshoot, 1e-9),
-        ]
-        rows = [(a, "pass" if v <= tol else "fail", f"{v:.17g}", f"{tol:.17g}") for a, v, tol in checks]
-        _write_artifact(rt.out_dir, "validate_skew.csv", _rows_csv(("axiom", "status", "worst", "tolerance"), rows))
+        _, _, rows = _skew_axioms(cfg, build_solenoid(cfg), rt.out_dir, "validate_skew.csv")
         for axiom, status, value, tol in rows:
             print(f"{axiom}: {status} (worst {value}, tolerance {tol})")
         return 0 if all(r[1] == "pass" for r in rows) else 1
@@ -205,8 +210,8 @@ def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
     roof_upper = 1.0
     if cfg.roof:
         roof = build_roof(cfg, m)
-        probes = np.linspace(0.0, 1.0, 4097)[:-1]
-        roof_upper = float(max(float(roof.value(float(x))) for x in probes)) + 1e-9
+        probes = np.linspace(float(m.domain_lo), float(m.domain_hi), 4097)[:-1]
+        roof_upper = float(np.max(roof.value_many(probes))) + 1e-9
     try:
         stats = tail_statistics(induced, roof_upper_bound=roof_upper)
     except InsufficientDepth as exc:
@@ -281,17 +286,9 @@ def cmd_tdist(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 def cmd_solenoid(cfg: ExperimentConfig, rt: Runtime) -> int:
     model = build_solenoid(cfg)
-    skew = model.skew
     kappa = float(model.kappa)
-    worst = validate_contraction(skew, pairs=cfg.run.pairs)
-    overshoot = validate_invariance(skew, probes=cfg.run.probes)
+    worst, overshoot, rows = _skew_axioms(cfg, model, rt.out_dir, "solenoid_axioms.csv")
     domination = check_domination(model)
-    checks = [
-        ("fiber_contraction_ratio", worst, kappa + 1e-12),
-        ("fiber_invariance_overshoot", overshoot, 1e-9),
-    ]
-    rows = [(a, "pass" if v <= tol else "fail", f"{v:.17g}", f"{tol:.17g}") for a, v, tol in checks]
-    _write_artifact(rt.out_dir, "solenoid_axioms.csv", _rows_csv(("axiom", "status", "worst", "tolerance"), rows))
     _write_artifact(rt.out_dir, "domination.csv", domination.to_csv())
     theta, z = attractor_sample(model, n=cfg.run.samples, burn_in=cfg.run.burn_in, seed=rt.seed)
     dist_bound = kappa**cfg.run.burn_in * 2.0 * float(model.fiber_radius)

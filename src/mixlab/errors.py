@@ -25,10 +25,6 @@ class ProtectedOrbitHit(MixlabError):
     """A bump support intersects a protected orbit."""
 
 
-class FiberEscape(MixlabError):
-    """A fiber map sent a point outside the fiber ball (model bug)."""
-
-
 class DepthOverflow(MixlabError):
     """Inverse-branch tree exceeded the node budget."""
 
@@ -43,6 +39,10 @@ class NotAffineMarkov(MixlabError):
 
 class NoConvergence(MixlabError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
+
+
+class CrossingBudgetExceeded(MixlabError):
+    """A flow step crossed the roof more often than its claimed lower bound allows."""
 
 
 class WindowTooShort(MixlabError):

@@ -41,18 +41,18 @@ class RoofFunction:
     """Positive return-time function r over a Markov map.
 
     `value` is polymorphic: Fraction in, Fraction out whenever `exact` is
-    set, float otherwise.  `lower_bound` and `branch_lipschitz` are claimed
-    constants, checked by validate_roof rather than trusted.  `value_many`
-    is an optional float-array fast path used by the flow machinery.
+    set, float otherwise.  `value_many` evaluates a float array at once for
+    the flow machinery.  `lower_bound` and `branch_lipschitz` are claimed
+    constants, checked by validate_roof rather than trusted.
     """
 
     base: ExpandingMarkovMap
     value: Callable
+    value_many: Callable
     lower_bound: float
     branch_lipschitz: float
     exact: bool = False
     label: str = "custom"
-    value_many: Callable | None = None
 
     def __post_init__(self):
         if not self.lower_bound > 0:
@@ -60,14 +60,6 @@ class RoofFunction:
 
     def __call__(self, x):
         return self.value(x)
-
-    def vectorized(self) -> Callable:
-        if self.value_many is not None:
-            return self.value_many
-        scalar = self.value
-        return lambda xs: np.asarray([float(scalar(float(x))) for x in np.ravel(xs)]).reshape(
-            np.shape(xs)
-        )
 
 
 def _is_rational(v) -> bool:
@@ -140,7 +132,7 @@ def polynomial_roof(
     if branch_lipschitz is None:
         slope = _poly_slope_bound(cs, base.edges[0], base.edges[-1])
         branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, lower_bound, branch_lipschitz, exact, label, value_many)
+    return RoofFunction(base, value, value_many, lower_bound, branch_lipschitz, exact, label)
 
 
 def per_branch_polynomial_roof(
@@ -187,7 +179,7 @@ def per_branch_polynomial_roof(
             _poly_slope_bound(cs, base.edges[k], base.edges[k + 1]) for k, cs in enumerate(table)
         )
         branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, lower_bound, branch_lipschitz, exact, label, value_many)
+    return RoofFunction(base, value, value_many, lower_bound, branch_lipschitz, exact, label)
 
 
 def constant_roof(base: ExpandingMarkovMap, c) -> RoofFunction:
@@ -209,7 +201,7 @@ def cosine_roof(
 
     k = 2.0 * math.pi * frequency * abs(amplitude) * base.expansion_bound
     return RoofFunction(
-        base, value, mean - abs(amplitude), k * (1.0 + 1e-6), False, "cosine", value_many
+        base, value, value_many, mean - abs(amplitude), k * (1.0 + 1e-6), False, "cosine"
     )
 
 
@@ -274,12 +266,12 @@ def validate_roof(roof: RoofFunction, probes: int = 10_000) -> ValidationReport:
 def birkhoff_sum(roof: RoofFunction, x, n: int):
     """Sum of r along the orbit segment x, f x, ..., f^(n-1) x.
 
-    Exact for Fraction input on exact roofs over affine maps.  Boundary
-    hits along the orbit propagate as BoundaryPoint.
+    Exact for Fraction input on exact roofs.  Boundary hits along the
+    orbit propagate as BoundaryPoint.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    exact = roof.exact and isinstance(x, Rational) and roof.base.is_affine
+    exact = roof.exact and isinstance(x, Rational)
     total = Fraction(0) if exact else 0.0
     y = Fraction(x) if exact else float(x)
     for _ in range(n):
@@ -537,7 +529,7 @@ def perturb_bump(
         w = 1 - u * u
         return base_val + amp * w * w * w
 
-    old_many = roof.vectorized()
+    old_many = roof.value_many
     fc, frad, famp = float(center), float(radius), float(amplitude)
 
     def value_many(xs):

@@ -1,10 +1,10 @@
 """Hyperbolic skew products over expanding Markov bases.
 
-F(x,z) = (f x, G(x, z)) with f an expanding Markov map and G contracting a
-compact fiber ball into itself.  The module validates the contraction and
-invariance axioms by probing, computes the family of fiber measures eta_x
-as depth-n inverse-branch sums, integrates them against the base invariant
-density, and probes the smoothness of x -> eta_x(v).
+F(x,z) = (f x, G(x, z)) with f an expanding Markov map and G an affine
+fiber family contracting a compact fiber ball into itself.  The module
+validates the contraction and invariance axioms by probing, computes the
+family of fiber measures eta_x as depth-n inverse-branch sums, and
+integrates them against the base invariant density.
 
 Observables are callables v(x, z) with z an array of fiber points, shape
 (..., d); they must broadcast over the leading axes.  eta_x(v) is the
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DepthOverflow, FiberEscape
+from .errors import DepthOverflow
 from .markov_maps import ExpandingMarkovMap, low_discrepancy
 
 NODE_BUDGET = 2_000_000
@@ -80,7 +80,7 @@ class AffineFiberFamily:
 class HyperbolicSkewProduct:
     base: ExpandingMarkovMap
     fiber_space: FiberBall
-    fiber_map: Callable
+    fiber_map: AffineFiberFamily
     kappa: float
     base_point: np.ndarray | None = None
 
@@ -91,29 +91,6 @@ class HyperbolicSkewProduct:
         object.__setattr__(self, "base_point", np.asarray(origin, dtype=float))
         if not self.fiber_space.contains(self.base_point):
             raise ValueError("fiber origin must lie in the fiber ball")
-
-    @property
-    def is_affine_fiber(self) -> bool:
-        return isinstance(self.fiber_map, AffineFiberFamily)
-
-
-def apply(skew: HyperbolicSkewProduct, w: tuple) -> tuple:
-    """One step (x, z) -> (f x, G(x, z)); the fiber must not escape.
-
-    Base points on an inner partition edge resolve to the right-hand cell,
-    following the half-open cell convention.
-    """
-    x, z = w
-    z = np.asarray(z, dtype=float)
-    if not skew.fiber_space.contains(z):
-        raise FiberEscape(f"input fiber point leaves the ball by {skew.fiber_space.overshoot(z):.3g}")
-    fx, _k = skew.base.evaluate(x, side="right")
-    z_new = np.asarray(skew.fiber_map(x, z), dtype=float)
-    if not skew.fiber_space.contains(z_new):
-        raise FiberEscape(
-            f"fiber image leaves the ball by {skew.fiber_space.overshoot(z_new):.3g}"
-        )
-    return fx, z_new
 
 
 def _ball_probes(ball: FiberBall, count: int, seed: int = 12345) -> np.ndarray:
@@ -135,27 +112,13 @@ def validate_contraction(skew: HyperbolicSkewProduct, pairs: int = 100_000) -> f
     """Worst fiber contraction ratio over sampled same-base pairs."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    lo = float(skew.base.domain_lo)
-    hi = float(skew.base.domain_hi)
-    xs = low_discrepancy(pairs, lo, hi, phase=0.41)
     z1 = _ball_probes(skew.fiber_space, pairs, seed=12345)
     z2 = _ball_probes(skew.fiber_space, pairs, seed=54321)
-    worst = 0.0
-    if skew.is_affine_fiber:
-        # translation cancels on same-base pairs; ratio is |contraction| exactly
-        sep = np.linalg.norm(z1 - z2, axis=1)
-        ok = sep > 0
-        num = abs(skew.fiber_map.contraction) * sep[ok]
-        worst = float(np.max(num / sep[ok]))
-    else:
-        for x, a, b in zip(xs, z1, z2):
-            sep = float(np.linalg.norm(a - b))
-            if sep == 0:
-                continue
-            ga = np.asarray(skew.fiber_map(float(x), a), dtype=float)
-            gb = np.asarray(skew.fiber_map(float(x), b), dtype=float)
-            worst = max(worst, float(np.linalg.norm(ga - gb)) / sep)
-    return worst
+    # translation cancels on same-base pairs; ratio is |contraction| exactly
+    sep = np.linalg.norm(z1 - z2, axis=1)
+    ok = sep > 0
+    num = abs(skew.fiber_map.contraction) * sep[ok]
+    return float(np.max(num / sep[ok]))
 
 
 def validate_invariance(skew: HyperbolicSkewProduct, probes: int = 1_000) -> float:
@@ -170,17 +133,11 @@ def validate_invariance(skew: HyperbolicSkewProduct, probes: int = 1_000) -> flo
     norms[norms == 0] = 1.0
     zs_boundary = skew.fiber_space.center + skew.fiber_space.radius * boundary / norms
     worst = -math.inf
-    if skew.is_affine_fiber:
-        for z_set in (zs, zs_boundary):
-            trans = skew.fiber_map.translation_at(xs)
-            imgs = skew.fiber_map.contraction * z_set + trans
-            over = np.linalg.norm(imgs - skew.fiber_space.center, axis=1) - skew.fiber_space.radius
-            worst = max(worst, float(np.max(over)))
-    else:
-        for z_set in (zs, zs_boundary):
-            for x, z in zip(xs, z_set):
-                img = np.asarray(skew.fiber_map(float(x), z), dtype=float)
-                worst = max(worst, skew.fiber_space.overshoot(img))
+    trans = skew.fiber_map.translation_at(xs)
+    for z_set in (zs, zs_boundary):
+        imgs = skew.fiber_map.contraction * z_set + trans
+        over = np.linalg.norm(imgs - skew.fiber_space.center, axis=1) - skew.fiber_space.radius
+        worst = max(worst, float(np.max(over)))
     return worst
 
 
@@ -224,11 +181,8 @@ class Disintegration:
             raise ValueError("origin must lie in the fiber ball")
         x = float(x)
         base.cell_index(x)  # raises BoundaryPoint outside/on edges
-        if skew.is_affine_fiber:
-            pts, ws, trans, scale = self._tree_affine(x)
-            zs = trans + scale * start
-        else:
-            pts, ws, zs = self._tree_generic(x, start)
+        pts, ws, trans, scale = self._tree(x)
+        zs = trans + scale * start
         phi_vals = None
         if self.density is not None:
             phi_vals = np.array([float(self.density(p)) for p in pts])
@@ -236,10 +190,10 @@ class Disintegration:
         xs = np.full(len(ws), x)
         return xs, ws, zs
 
-    def _tree_affine(self, x: float):
+    def _tree(self, x: float):
         skew = self.skew
         base = skew.base
-        fam: AffineFiberFamily = skew.fiber_map
+        fam = skew.fiber_map
         d = skew.fiber_space.dimension
         pts = np.array([x])
         ws = np.array([1.0])
@@ -253,13 +207,9 @@ class Disintegration:
                 if not mask.any():
                     continue
                 sel = pts[mask]
-                if b.is_affine:
-                    slope = float(b.slope)
-                    ys = (sel - float(b.intercept)) / slope
-                    jac = np.full(len(ys), 1.0 / abs(slope))
-                else:
-                    ys = np.array([float(b.inverse(p)) for p in sel])
-                    jac = 1.0 / np.abs([float(b.derivative(y)) for y in ys])
+                slope = float(b.slope)
+                ys = (sel - float(b.intercept)) / slope
+                jac = np.full(len(ys), 1.0 / abs(slope))
                 child_pts.append(ys)
                 child_ws.append(ws[mask] * jac)
                 child_trans.append(trans[mask] + scale * fam.translation_at(ys))
@@ -272,42 +222,6 @@ class Disintegration:
                     f"level {level} holds {len(pts)} nodes, budget {self.node_budget}"
                 )
         return pts, ws, trans, scale
-
-    def _tree_generic(self, x: float, start: np.ndarray):
-        skew = self.skew
-        base = skew.base
-        leaves_pts, leaves_ws, leaves_zs = [], [], []
-        visited = 0
-        budget = self.node_budget
-        # DFS carrying the current inverse-branch chain of base points
-        stack = [(x, 1.0, ())]
-        while stack:
-            pt, w, chain = stack.pop()
-            depth = len(chain)
-            if depth == self.depth:
-                # push the origin forward along the chain: the fiber map is
-                # applied at the leaf and every ancestor except the root
-                z = start
-                forward = (pt,) + tuple(reversed(chain))[:-1]
-                for y in forward:
-                    z = np.asarray(skew.fiber_map(float(y), z), dtype=float)
-                leaves_pts.append(pt)
-                leaves_ws.append(w)
-                leaves_zs.append(z)
-                continue
-            for k, b in enumerate(base.branches):
-                if not (float(b.image_lo) <= pt < float(b.image_hi)):
-                    continue
-                y = float(b.inverse(pt))
-                visited += 1
-                if visited > budget:
-                    raise DepthOverflow(f"inverse-branch tree exceeded {budget} nodes")
-                stack.append((y, w / abs(float(b.derivative(y))), chain + (pt,)))
-        return (
-            np.array(leaves_pts),
-            np.array(leaves_ws),
-            np.array(leaves_zs),
-        )
 
     def grid_csv(self, v: Callable, grid: int, fiber_lipschitz: float) -> str:
         """eta_x(v) on a uniform interior grid as CSV (x, value, error_bound)."""
@@ -418,10 +332,7 @@ def sandwich_estimate(
     y = xs.copy()
     zs = np.tile(ball.center, (samples, 1)).astype(float)
     for _ in range(depth):
-        if skew.is_affine_fiber:
-            zs = skew.fiber_map(y, zs)
-        else:
-            zs = np.asarray([skew.fiber_map(float(p), z) for p, z in zip(y, zs)], dtype=float)
+        zs = skew.fiber_map(y, zs)
         y = base.evaluate_many(y)
     vals = np.asarray(v(y, zs), dtype=float)
 
@@ -441,20 +352,3 @@ def sandwich_estimate(
         )
     return SandwichEstimate(mean - pad, mean + pad, err, samples)
 
-
-def smoothness_probe(
-    dis: Disintegration,
-    v: Callable,
-    grid: int = 64,
-    step: float = 1e-4,
-) -> float:
-    """Max finite-difference slope of x -> eta_x(v) over an interior grid."""
-    base = dis.skew.base
-    lo, hi = float(base.domain_lo), float(base.domain_hi)
-    worst = 0.0
-    xs = low_discrepancy(grid, lo, hi - step, phase=0.51)
-    for x in xs:
-        a = dis.evaluate(float(x), v)
-        b = dis.evaluate(float(x) + step, v)
-        worst = max(worst, abs(b - a) / step)
-    return worst

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketUndefined, WindowTooShort
+from .errors import BoundaryPoint, BracketUndefined, CrossingBudgetExceeded, WindowTooShort
 from .markov_maps import ExpandingMarkovMap
 from .roof import RoofFunction, _probe_extrema
 from .skew_product import HyperbolicSkewProduct
@@ -103,8 +103,8 @@ def flow_to(susp: SuspensionSemiflow, point, t):
     """Advance one phase point by time t >= 0.
 
     `point` is (x, u) over a map base and ((x, z), u) over a skew base.
-    Rational data over an exact roof and affine base flows exactly; orbits
-    that land on a partition boundary raise BoundaryPoint.
+    Rational data over an exact roof flow exactly; orbits that land on a
+    partition boundary raise BoundaryPoint.
     """
     w, u = point
     sk = susp.skew
@@ -119,7 +119,6 @@ def flow_to(susp: SuspensionSemiflow, point, t):
         and isinstance(x, Rational)
         and isinstance(u, Rational)
         and isinstance(t, Rational)
-        and all(b.is_affine for b in bm.branches)
     )
     if exact:
         x, u, t = Fraction(x), Fraction(u), Fraction(t)
@@ -136,7 +135,7 @@ def flow_to(susp: SuspensionSemiflow, point, t):
     while u >= r:
         guard -= 1
         if guard < 0:
-            raise RuntimeError("crossing count exceeded the roof lower-bound budget")
+            raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
         u = u - r
         if sk is not None:
             z = sk.fiber_map(x, z)
@@ -158,7 +157,7 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, dt: float, roof_many: Cal
     while live.any():
         guard -= 1
         if guard < 0:
-            raise RuntimeError("crossing count exceeded the roof lower-bound budget")
+            raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
         idx = np.nonzero(live)[0]
         u[idx] -= r[idx]
         if sk is not None:
@@ -216,7 +215,7 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
     """
     bm = susp.base_map
     sk = susp.skew
-    roof_many = susp.roof.vectorized()
+    roof_many = susp.roof.value_many
     env = susp.roof_sup
     dim = sk.fiber_space.dimension if sk is not None else 0
 
@@ -308,7 +307,7 @@ def correlation(
     n_batches = max(2, math.ceil(samples / batch_size))
     per_batch = math.ceil(samples / n_batches)
     total = n_batches * per_batch
-    roof_many = susp.roof.vectorized()
+    roof_many = susp.roof.value_many
 
     def run_batch(b: int):
         rng = np.random.default_rng([int(seed), int(b)])
@@ -489,7 +488,6 @@ def temporal_distance(
         susp.roof.exact
         and isinstance(x, Rational)
         and isinstance(y, Rational)
-        and all(b.is_affine for b in bm.branches)
     )
     px = Fraction(x) if exact else float(x)
     py = Fraction(y) if exact else float(y)
@@ -499,7 +497,7 @@ def temporal_distance(
         for p in (px, py):
             try:
                 cell = bm.cell_index(p)
-            except Exception as exc:
+            except BoundaryPoint as exc:
                 raise BracketUndefined(f"pullback hit a partition boundary at {float(p)!r}") from exc
             if not bm.admissible(k, cell):
                 raise BracketUndefined(

@@ -80,23 +80,14 @@ class UlamOperator:
         """Left and right eigenvectors of eigenvalue 1: invariant masses and ones."""
         return invariant_density(self).values * np.diff(self.bin_edges), np.ones(self.bins)
 
-    def to_coo(self) -> str:
-        """Nonzero entries as 'row col value' lines."""
-        lines = []
-        rows, cols = np.nonzero(self.matrix)
-        for i, j in zip(rows, cols):
-            lines.append(f"{i} {j} {self.matrix[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def build_ulam(map_: ExpandingMarkovMap, bins: int) -> UlamOperator:
     """Discretize the transfer operator on `bins` equal-width cells.
 
     Bin edges must refine the Markov partition so that every branch is
     smooth on every bin; otherwise BinMisalignment.  Entries are interval
-    overlaps pulled back through the branch inverses: exact rational
-    arithmetic for affine branches, floats at the precision of the
-    supplied inverse for callable branches.
+    overlaps pulled back through the branch inverses in exact rational
+    arithmetic, rounded to float once at the end.
     """
     if bins < map_.n_cells:
         raise BinMisalignment(f"{bins} bins cannot refine {map_.n_cells} partition cells")
@@ -111,7 +102,6 @@ def _assemble_pullback(map_: ExpandingMarkovMap, bins: int) -> np.ndarray:
     lo, width = map_.domain_lo, map_.domain_hi - map_.domain_lo
     edge = [lo + width * Fraction(i, bins) for i in range(bins + 1)]
     binw = width / bins
-    # rational throughout for affine branches; callable inverses mix in floats
     rows: list[dict] = [dict() for _ in range(bins)]
 
     for b in map_.branches:
@@ -304,8 +294,6 @@ def _interpolation_matrix(y: np.ndarray, nodes: np.ndarray, bary: np.ndarray) ->
 
 
 def _require_affine_markov(map_: ExpandingMarkovMap) -> None:
-    if not map_.is_affine:
-        raise NotAffineMarkov(f"map {map_.name!r} has non-affine branches")
     for k, b in enumerate(map_.branches):
         cells = map_.image_cells(k)
         if (
@@ -326,8 +314,8 @@ def polynomial_operator(map_: ExpandingMarkovMap, degree: int) -> PolynomialOper
     interpolation.  For an affine Markov map h_k sends cell j affinely
     into cell k, so L maps the space into itself and the matrix is L
     restricted to it, with no projection error: for doubling its spectrum
-    is 1, 1/2, ..., 2^-degree and zeros at every degree.  Any other map
-    raises NotAffineMarkov.
+    is 1, 1/2, ..., 2^-degree and zeros at every degree.  A branch image
+    that is not a union of cells raises NotAffineMarkov.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -370,7 +358,7 @@ def resonance(op: PolynomialOperator, roof, s0: complex) -> complex:
     """
     if roof.base is not op.map:
         raise ValueError("roof must be defined over the operator's map")
-    r = roof.vectorized()(op.preimages)
+    r = roof.value_many(op.preimages)
 
     def lam(s: complex) -> complex:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -449,12 +437,3 @@ def integrate(
                 total += 0.5 * (s1 - s0) * w * val
     return total
 
-
-def ulam_consistency(map_: ExpandingMarkovMap, bins: int) -> tuple[float, float]:
-    """L1 distance between densities at N and 2N bins; returns (distance, N*distance)."""
-    d1 = invariant_density(build_ulam(map_, bins))
-    d2 = invariant_density(build_ulam(map_, 2 * bins))
-    # compare on the finer grid: d1 is constant across each pair of fine bins
-    coarse_on_fine = np.repeat(d1.values, 2)
-    l1 = float(np.sum(np.abs(coarse_on_fine - d2.values) * np.diff(d2.bin_edges)))
-    return l1, l1 * bins

@@ -149,6 +149,37 @@ def test_tails_exact_masses(tmp_path):
     assert "alpha," in summary and "excursion_mass," in summary
 
 
+def _roof_upper_of_tails_fit(tmp_path):
+    # tails writes sigma0 = alpha / (2 * roof upper bound)
+    rows = _read(tmp_path, "tails_summary.csv").decode().strip().splitlines()[1:]
+    values = {row.split(",")[0]: row.split(",")[1] for row in rows}
+    return float(values["alpha"]) / (2.0 * float(values["sigma0"]))
+
+
+def test_tails_reads_roof_bound_over_the_whole_domain(tmp_path):
+    # three_branch stretched onto [0, 3): the roof 1 + x^2 climbs to 10 there
+    text = (
+        "[model]\nkind = affine_markov\nbreakpoints = 0, 1, 2, 3\nslopes = 2, 3, 3\n"
+        "intercepts = 1, -3, -6\ntransition = 0 1 1; 1 1 1; 1 1 1\n\n"
+        + XSQ_ROOF
+        + "[run]\nbase_cell = 0\ndepth_cap = 12\n"
+    )
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
+    assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(10.0, rel=1e-3)
+
+
+def test_tails_probes_a_domain_away_from_zero(tmp_path):
+    # doubling on [2, 4) under a roof equal to 1 on the left cell and 2 on the right
+    text = (
+        "[model]\nkind = affine_markov\nbreakpoints = 2, 3, 4\nslopes = 2, 2\n"
+        "intercepts = -2, -4\ntransition = 1 1; 1 1\n\n"
+        "[roof]\nkind = per_branch\ncoeffs = 1 | 2\n\n"
+        "[run]\nbase_cell = 0\ndepth_cap = 12\n"
+    )
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
+    assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(2.0, rel=1e-6)
+
+
 # -- correlate --------------------------------------------------------------------
 
 
@@ -189,6 +220,18 @@ def test_correlate_thread_count_keeps_bytes(tmp_path):
     assert main(["correlate", "--config", cfg, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
     for name in ("correlation_height_mix.csv", "fit_height_mix.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_correlate_crossing_budget_is_a_model_error(tmp_path, capsys):
+    # the roof sits far below its claimed lower bound, so one dt step crosses
+    # it more often than the bound allows
+    text = (
+        DOUBLING.split("[run]")[0]
+        + "[roof]\nkind = per_branch\ncoeffs = 1/100 | 1/100\nlower_bound = 1\n\n"
+        + "[run]\nseed = 5\nsamples = 2000\nbatch_size = 500\nt_max = 1\n"
+    )
+    assert run(tmp_path, "correlate", "--config", _cfg(tmp_path, text)) == 2
+    assert "CrossingBudgetExceeded" in capsys.readouterr().err
 
 
 def test_correlate_seed_changes_bytes(tmp_path):

@@ -1,23 +1,17 @@
 """Skew product tests: fiber geometry, disintegration trees, eta integrals."""
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from mixlab.errors import BoundaryPoint, DepthOverflow, FiberEscape
+from mixlab.errors import BoundaryPoint, DepthOverflow
 from mixlab.markov_maps import doubling_map
 from mixlab.skew_product import (
     AffineFiberFamily,
-    Disintegration,
     FiberBall,
     HyperbolicSkewProduct,
-    apply,
     disintegrate,
     eta_integral,
     sandwich_estimate,
-    smoothness_probe,
     validate_contraction,
     validate_invariance,
 )
@@ -81,37 +75,6 @@ def test_base_point_must_lie_in_ball():
         )
 
 
-# -- one-step dynamics -------------------------------------------------------
-
-
-def test_apply_advances_base_and_fiber():
-    skew = _skew()
-    fx, z = apply(skew, (Fraction(1, 5), np.array([0.2])))
-    assert fx == Fraction(2, 5)
-    expected = 0.5 * 0.2 + 0.4 * math.cos(2.0 * math.pi * 0.2)
-    assert z[0] == pytest.approx(expected, abs=1e-15)
-
-
-def test_apply_rejects_escaping_input():
-    skew = _skew()
-    with pytest.raises(FiberEscape):
-        apply(skew, (0.2, np.array([1.5])))
-
-
-def test_apply_rejects_escaping_image():
-    # translation 0.9 pushes the edge of the ball to 0.5*1 + 0.9 > 1
-    skew = HyperbolicSkewProduct(
-        base=doubling_map(),
-        fiber_space=FiberBall(np.zeros(1), 1.0),
-        fiber_map=AffineFiberFamily(
-            contraction=0.5, translation=lambda xs: np.full(np.shape(xs) + (1,), 0.9)
-        ),
-        kappa=0.5,
-    )
-    with pytest.raises(FiberEscape):
-        apply(skew, (0.2, np.array([0.9])))
-
-
 # -- axiom probes ------------------------------------------------------------
 
 
@@ -167,33 +130,39 @@ def test_depth_overflow_affine_tree():
         dis.evaluate(0.3, _ones)
 
 
-def test_depth_overflow_generic_tree():
-    skew = HyperbolicSkewProduct(
-        base=doubling_map(),
-        fiber_space=FiberBall(np.zeros(1), 1.0),
-        fiber_map=lambda x, z: 0.5 * np.asarray(z) + 0.1,
-        kappa=0.5,
-    )
-    dis = disintegrate(skew, depth=5, node_budget=10)
-    with pytest.raises(DepthOverflow):
-        dis.evaluate(0.3, _ones)
+def _chain_walk_leaves(skew, x, depth):
+    """(weight, fiber point) of every depth-n inverse-branch chain at x.
+
+    Walks one chain at a time and pushes the origin forward along it, an
+    independent route to the level-by-level arrays of Disintegration.
+    """
+    leaves = []
+    stack = [(x, 1.0, ())]
+    while stack:
+        pt, w, chain = stack.pop()
+        if len(chain) == depth:
+            # the fiber map is applied at the leaf and every ancestor except the root
+            z = skew.base_point
+            for y in (pt,) + tuple(reversed(chain))[:-1]:
+                z = skew.fiber_map(y, z)
+            leaves.append((w, z))
+            continue
+        for b in skew.base.branches:
+            if float(b.image_lo) <= pt < float(b.image_hi):
+                y = float(b.inverse(pt))
+                stack.append((y, w / abs(float(b.slope)), chain + (pt,)))
+    return leaves
 
 
 def test_affine_and_generic_trees_agree():
-    # the vectorized affine tree and the chain-walking generic tree must
-    # produce the same measure for the same fiber family
-    family = AffineFiberFamily(contraction=0.5, translation=_cos_translation)
-    affine = _skew()
-    generic = HyperbolicSkewProduct(
-        base=doubling_map(),
-        fiber_space=FiberBall(np.zeros(1), 1.0),
-        fiber_map=lambda x, z: family(x, np.atleast_2d(z))[0],
-        kappa=0.5,
-    )
-    da = disintegrate(affine, depth=6)
-    dg = disintegrate(generic, depth=6)
+    # the vectorized tree and a chain-by-chain walk must produce the same measure
+    skew = _skew()
+    dis = disintegrate(skew, depth=6)
     for x in (0.11, 0.52, 0.93):
-        assert da.evaluate(x, _coord) == pytest.approx(dg.evaluate(x, _coord), abs=1e-12)
+        leaves = _chain_walk_leaves(skew, x, 6)
+        assert len(leaves) == 2**6
+        walked = sum(w * float(z[0]) for w, z in leaves)
+        assert dis.evaluate(x, _coord) == pytest.approx(walked, abs=1e-12)
 
 
 def test_boundary_point_rejected():
@@ -239,13 +208,3 @@ def test_eta_integral_agrees_with_forward_sandwich():
     slack = sw.gap / 2.0 + 5.0 * sw.stat_error + 0.01
     assert abs(integral - sw.midpoint) <= slack
 
-
-def test_smoothness_probe_zero_for_constant_translation():
-    dis = disintegrate(_skew(translation=_const_translation), depth=6)
-    assert smoothness_probe(dis, _coord, grid=16) <= 1e-9
-
-
-def test_smoothness_probe_finite_for_varying_translation():
-    dis = disintegrate(_skew(), depth=6)
-    worst = smoothness_probe(dis, _coord, grid=16)
-    assert 0.0 < worst < 10.0

@@ -101,7 +101,7 @@ def test_sample_invariant_respects_roof():
     susp = _xsq_susp()
     ps = sample_invariant(susp, 500, seed=2)
     assert len(ps) == 500
-    roofs = susp.roof.vectorized()(ps.x)
+    roofs = susp.roof.value_many(ps.x)
     assert np.all(ps.u >= 0.0)
     assert np.all(ps.u < roofs)
 
