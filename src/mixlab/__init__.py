@@ -54,7 +54,6 @@ from .skew_product import (
     FiberBall,
     HyperbolicSkewProduct,
     SandwichEstimate,
-    disintegrate,
     eta_integral,
     sandwich_estimate,
     validate_contraction,
@@ -69,7 +68,6 @@ from .suspension import (
     default_observables,
     fit_rate,
     flow_to,
-    sample_invariant,
     suspend,
     svg_log_plot,
     temporal_distance,

@@ -462,10 +462,6 @@ class TailStatistics:
     sigma0: float
     alpha_stderr: float = 0.0
 
-    @property
-    def degenerate(self) -> bool:
-        return math.isinf(self.alpha)
-
 
 def tail_statistics(induced: InducedMap, roof_upper_bound: float = 1.0) -> TailStatistics:
     """Exponential tail fit: least squares on log m(R >= n) against n.
@@ -549,8 +545,3 @@ def expanding_circle_map(degree: int) -> ExpandingMarkovMap:
     ones = tuple(tuple(1 for _ in range(degree)) for _ in range(degree))
     return ExpandingMarkovMap(branches, ones, expansion_bound=1.0 / degree, name=f"circle_{degree}")
 
-
-BUILTIN_MAPS = {
-    "doubling": doubling_map,
-    "three_branch": three_branch_map,
-}

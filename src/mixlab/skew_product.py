@@ -4,7 +4,8 @@ F(x,z) = (f x, G(x, z)) with f an expanding Markov map and G an affine
 fiber family contracting a compact fiber ball into itself.  The module
 validates the contraction and invariance axioms by probing, computes the
 family of fiber measures eta_x as depth-n inverse-branch sums, and
-integrates them against the base invariant density.
+integrates them against normalized Lebesgue measure on the base, which is
+the invariant measure of the full-branch circle maps the solenoid uses.
 
 Observables are callables v(x, z) with z an array of fiber points, shape
 (..., d); they must broadcast over the leading axes.  eta_x(v) is the
@@ -153,7 +154,6 @@ class Disintegration:
 
     skew: HyperbolicSkewProduct
     depth: int
-    density: Callable | None = None
     node_budget: int = NODE_BUDGET
 
     def __post_init__(self):
@@ -181,12 +181,8 @@ class Disintegration:
             raise ValueError("origin must lie in the fiber ball")
         x = float(x)
         base.cell_index(x)  # raises BoundaryPoint outside/on edges
-        pts, ws, trans, scale = self._tree(x)
+        _, ws, trans, scale = self._tree(x)
         zs = trans + scale * start
-        phi_vals = None
-        if self.density is not None:
-            phi_vals = np.array([float(self.density(p)) for p in pts])
-            ws = ws * phi_vals / float(self.density(x))
         xs = np.full(len(ws), x)
         return xs, ws, zs
 
@@ -223,38 +219,16 @@ class Disintegration:
                 )
         return pts, ws, trans, scale
 
-    def grid_csv(self, v: Callable, grid: int, fiber_lipschitz: float) -> str:
-        """eta_x(v) on a uniform interior grid as CSV (x, value, error_bound)."""
-        lo, hi = float(self.skew.base.domain_lo), float(self.skew.base.domain_hi)
-        bound = self.truncation_bound(fiber_lipschitz)
-        lines = ["x,value,error_bound"]
-        for i in range(grid):
-            x = lo + (hi - lo) * (i + 0.5) / grid
-            val = self.evaluate(x, v)
-            lines.append(f"{x:.17g},{val:.17g},{bound:.17g}")
-        return "\n".join(lines) + "\n"
-
-
-def disintegrate(
-    skew: HyperbolicSkewProduct,
-    depth: int,
-    density: Callable | None = None,
-    node_budget: int = NODE_BUDGET,
-) -> Disintegration:
-    """Depth-n fiber-measure family; see Disintegration."""
-    return Disintegration(skew=skew, depth=depth, density=density, node_budget=node_budget)
-
 
 def eta_integral(
     dis: Disintegration,
     v: Callable,
-    base_density: Callable | None = None,
     panels: int = 64,
 ) -> float:
-    """Integral of x -> eta_x(v) against the base invariant density.
+    """Integral of x -> eta_x(v) against normalized Lebesgue measure.
 
     Composite midpoint quadrature per partition cell; panel count is per
-    cell.  The density defaults to the normalized uniform one.
+    cell.
     """
     base = dis.skew.base
     total = 0.0
@@ -264,13 +238,8 @@ def eta_integral(
         xs = a + (c - a) * (np.arange(panels) + 0.5) / panels
         for x in xs:
             val = dis.evaluate(float(x), v)
-            w = (c - a) / panels
-            if base_density is not None:
-                val *= float(base_density(float(x)))
-            total += w * val
-    if base_density is None:
-        total /= span
-    return total
+            total += (c - a) / panels * val
+    return total / span
 
 
 @dataclass(frozen=True)
@@ -301,7 +270,6 @@ def sandwich_estimate(
     v: Callable,
     depth: int,
     fiber_lipschitz: float,
-    base_density: Callable | None = None,
     samples: int = 200_000,
     seed: int = 0,
 ) -> SandwichEstimate:
@@ -317,9 +285,8 @@ def sandwich_estimate(
     The average over starting points is Monte Carlo: the integrand mixes
     at the base expansion scale, so no fixed grid of affordable size can
     resolve it at useful depths (dyadic grids collapse onto periodic
-    orbits of the circle map).  Base points are drawn uniformly; a given
-    base_density enters by self-normalized importance weights.  The
-    returned stat_error is the standard error of the weighted mean.
+    orbits of the circle map).  Base points are drawn uniformly, and the
+    returned stat_error is the standard error of the mean.
     """
     base = skew.base
     ball = skew.fiber_space
@@ -336,19 +303,7 @@ def sandwich_estimate(
         y = base.evaluate_many(y)
     vals = np.asarray(v(y, zs), dtype=float)
 
-    if base_density is None:
-        mean = float(vals.mean())
-        err = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    else:
-        wts = np.asarray([float(base_density(float(x))) for x in xs])
-        wbar = wts.mean()
-        mean = float((wts * vals).mean() / wbar)
-        # ratio-estimator delta method
-        resid = wts * (vals - mean)
-        err = (
-            float(resid.std(ddof=1) / (wbar * math.sqrt(samples)))
-            if samples > 1
-            else math.inf
-        )
+    mean = float(vals.mean())
+    err = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return SandwichEstimate(mean - pad, mean + pad, err, samples)
 

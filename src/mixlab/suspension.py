@@ -33,7 +33,8 @@ from .transfer_operator import InvariantDensity, integrate
 DEFAULT_DT = 0.1
 DEFAULT_SPAN_MULT = 30.0
 DEFAULT_BATCH = 50_000
-_CDF_GRID = 8192
+# Gauss-Legendre nodes for the roof average over the base
+_QUAD_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class SuspensionSemiflow:
     roof: RoofFunction
     mean_roof: float
     roof_sup: float
-    base_density: object = None
+    base_density: InvariantDensity | None = None
 
     @property
     def skew(self) -> HyperbolicSkewProduct | None:
@@ -68,32 +69,24 @@ class SuspensionSemiflow:
         return np.linspace(0.0, steps * dt, steps + 1)
 
 
-def suspend(base, roof: RoofFunction, base_density=None, quad_samples: int = 4096) -> SuspensionSemiflow:
+def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = None) -> SuspensionSemiflow:
     """Build a suspension and precompute its roof average and envelope.
 
-    `base_density` may be None (normalized Lebesgue), an InvariantDensity,
-    or a positive callable; it is the base invariant density used for the
-    roof average and for sampling.
+    `base_density` is None (normalized Lebesgue) or an InvariantDensity;
+    it is the base invariant density used for the roof average and for
+    sampling.
     """
     base_map = base.base if isinstance(base, HyperbolicSkewProduct) else base
     if roof.base is not base_map:
         raise ValueError("roof must be defined over the suspension's base map")
-    dens = _density_callable(base_density)
-    mass = integrate(base_map, lambda x: 1.0, quad_samples, dens)
-    mean = integrate(base_map, lambda x: float(roof.value(x)), quad_samples, dens) / mass
+    dens = None if base_density is None else base_density.at
+    mass = integrate(base_map, lambda x: 1.0, _QUAD_SAMPLES, dens)
+    mean = integrate(base_map, lambda x: float(roof.value(x)), _QUAD_SAMPLES, dens) / mass
 
     lo_probe, hi_probe, slope = _probe_extrema(base_map, roof.value)
     widest = max(float(b.hi) - float(b.lo) for b in base_map.branches)
     sup = hi_probe + slope * (widest / 512.0) + 1e-12
     return SuspensionSemiflow(base, roof, mean, sup, base_density)
-
-
-def _density_callable(base_density) -> Callable | None:
-    if base_density is None:
-        return None
-    if isinstance(base_density, InvariantDensity):
-        return base_density.at
-    return base_density
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +164,6 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, dt: float, roof_many: Cal
 # ---------------------------------------------------------------------------
 # invariant sampling
 
-@dataclass(frozen=True)
-class PhaseSample:
-    """Batch of phase points: base coordinates, heights, optional fibers."""
-
-    x: np.ndarray
-    u: np.ndarray
-    z: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
 def _draw_base(susp: SuspensionSemiflow, rng, m: int) -> np.ndarray:
     """Draw m base points from the configured invariant density."""
     bm = susp.base_map
@@ -190,13 +171,8 @@ def _draw_base(susp: SuspensionSemiflow, rng, m: int) -> np.ndarray:
     dens = susp.base_density
     if dens is None:
         return lo + (hi - lo) * rng.random(m)
-    if isinstance(dens, InvariantDensity):
-        edges = np.asarray(dens.bin_edges, dtype=float)
-        masses = np.asarray(dens.values, dtype=float) * np.diff(edges)
-    else:
-        edges = np.linspace(lo, hi, _CDF_GRID + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        masses = np.asarray([float(dens(float(v))) for v in mids]) * np.diff(edges)
+    edges = np.asarray(dens.bin_edges, dtype=float)
+    masses = np.asarray(dens.values, dtype=float) * np.diff(edges)
     cum = np.cumsum(masses)
     v = rng.random(m) * cum[-1]
     k = np.searchsorted(cum, v, side="right")
@@ -242,14 +218,6 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
             zs[filled : filled + take] = z[sel]
         filled += take
     return xs, zs, us
-
-
-def sample_invariant(susp: SuspensionSemiflow, n: int, seed: int = 0, fiber_depth: int = 30) -> PhaseSample:
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng([int(seed), 0])
-    xs, zs, us = _sample_arrays(susp, rng, n, fiber_depth)
-    return PhaseSample(xs, us, zs)
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,12 @@ POWER_CAP = 100_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def apply_exact(
-    map_: ExpandingMarkovMap,
-    v: Callable,
-    x,
-    density: Callable | None = None,
-) -> float:
+def apply_exact(map_: ExpandingMarkovMap, v: Callable, x) -> float:
     """(L v)(x) = sum over inverse branches h of J(h(x)) v(h(x)).
 
-    With no density the Jacobian weight J = 1/|f'| makes L the transfer
-    operator of normalized Lebesgue measure; passing the invariant density
-    phi reweights by phi(h(x))/phi(x), giving the operator of the
-    absolutely continuous invariant measure.  Rational x, branch data, v,
-    and density keep the result an exact Fraction.
+    The Jacobian weight J = 1/|f'| makes L the transfer operator of
+    normalized Lebesgue measure.  Rational x, branch data and v keep the
+    result an exact Fraction.
     """
     map_.cell_index(x)  # raises BoundaryPoint on partition edges
     total = None
@@ -55,10 +48,7 @@ def apply_exact(
         if not map_.branch_covers(k, x):
             continue
         y = b.inverse(x)
-        w = 1 / abs(b.derivative(y))
-        if density is not None:
-            w = w * density(y) / density(x)
-        term = w * v(y)
+        term = 1 / abs(b.derivative(y)) * v(y)
         total = term if total is None else total + term
     return 0.0 if total is None else total
 
@@ -403,18 +393,15 @@ def duality_check(
     g: Callable,
     v: Callable,
     samples: int = 2_000,
-    density: Callable | None = None,
 ) -> float:
-    """|int g(f x) v(x) dnu - int g(x) (L v)(x) dnu| by panel quadrature.
+    """|int g(f x) v(x) dx - int g(x) (L v)(x) dx| by panel quadrature.
 
-    nu = density * Lebesgue (density defaults to 1).  Panels never
-    straddle partition edges, so the integrands are smooth per panel and
-    8-point Gauss-Legendre converges at full rate.
+    Both integrals are against Lebesgue measure, the reference measure of
+    apply_exact.  Panels never straddle partition edges, so the integrands
+    are smooth per panel and 8-point Gauss-Legendre converges at full rate.
     """
-    lhs = integrate(map_, lambda x: float(g(map_.evaluate(x)[0])) * float(v(x)), samples, density)
-    rhs = integrate(
-        map_, lambda x: float(g(x)) * apply_exact(map_, v, x, density=density), samples, density
-    )
+    lhs = integrate(map_, lambda x: float(g(map_.evaluate(x)[0])) * float(v(x)), samples, None)
+    rhs = integrate(map_, lambda x: float(g(x)) * apply_exact(map_, v, x), samples, None)
     return abs(lhs - rhs)
 
 

@@ -7,9 +7,9 @@ from mixlab.errors import BoundaryPoint, DepthOverflow
 from mixlab.markov_maps import doubling_map
 from mixlab.skew_product import (
     AffineFiberFamily,
+    Disintegration,
     FiberBall,
     HyperbolicSkewProduct,
-    disintegrate,
     eta_integral,
     sandwich_estimate,
     validate_contraction,
@@ -96,7 +96,7 @@ def test_invariance_overshoot_negative_when_strictly_inside():
 
 
 def test_eta_of_constants_is_one():
-    dis = disintegrate(_skew(), depth=8)
+    dis = Disintegration(_skew(), depth=8)
     for x in (0.1, 0.3, 0.7):
         assert dis.evaluate(x, _ones) == pytest.approx(1.0, abs=1e-12)
 
@@ -104,7 +104,7 @@ def test_eta_of_constants_is_one():
 def test_eta_constant_translation_closed_form():
     # every leaf lands on sum_{j<d} kappa^j t + kappa^d origin
     depth = 10
-    dis = disintegrate(_skew(translation=_const_translation), depth=depth)
+    dis = Disintegration(_skew(translation=_const_translation), depth=depth)
     expected = 0.3 * (1.0 - 0.5**depth) / 0.5
     assert dis.evaluate(0.37, _coord) == pytest.approx(expected, abs=1e-12)
     shifted = dis.evaluate(0.37, _coord, origin=np.array([0.8]))
@@ -113,19 +113,19 @@ def test_eta_constant_translation_closed_form():
 
 def test_origin_choice_washes_out_at_contraction_rate():
     depth = 6
-    dis = disintegrate(_skew(), depth=depth)
+    dis = Disintegration(_skew(), depth=depth)
     a = dis.evaluate(0.37, _coord, origin=np.array([0.9]))
     b = dis.evaluate(0.37, _coord, origin=np.array([-0.9]))
     assert abs(a - b) <= 0.5**depth * 1.8 + 1e-12
 
 
 def test_truncation_bound_formula():
-    dis = disintegrate(_skew(), depth=7)
+    dis = Disintegration(_skew(), depth=7)
     assert dis.truncation_bound(2.5) == pytest.approx(0.5**7 * 2.5 * 2.0)
 
 
 def test_depth_overflow_affine_tree():
-    dis = disintegrate(_skew(), depth=8, node_budget=100)
+    dis = Disintegration(_skew(), depth=8, node_budget=100)
     with pytest.raises(DepthOverflow):
         dis.evaluate(0.3, _ones)
 
@@ -157,7 +157,7 @@ def _chain_walk_leaves(skew, x, depth):
 def test_affine_and_generic_trees_agree():
     # the vectorized tree and a chain-by-chain walk must produce the same measure
     skew = _skew()
-    dis = disintegrate(skew, depth=6)
+    dis = Disintegration(skew, depth=6)
     for x in (0.11, 0.52, 0.93):
         leaves = _chain_walk_leaves(skew, x, 6)
         assert len(leaves) == 2**6
@@ -166,42 +166,23 @@ def test_affine_and_generic_trees_agree():
 
 
 def test_boundary_point_rejected():
-    dis = disintegrate(_skew(), depth=4)
+    dis = Disintegration(_skew(), depth=4)
     with pytest.raises(BoundaryPoint):
         dis.evaluate(0.5, _ones)
-
-
-def test_density_of_one_matches_default():
-    plain = disintegrate(_skew(), depth=6)
-    weighted = disintegrate(_skew(), depth=6, density=lambda x: 1.0)
-    assert plain.evaluate(0.3, _coord) == pytest.approx(
-        weighted.evaluate(0.3, _coord), abs=1e-14
-    )
-
-
-def test_grid_csv_shape():
-    dis = disintegrate(_skew(), depth=4)
-    text = dis.grid_csv(_coord, grid=8, fiber_lipschitz=1.0)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,value,error_bound"
-    assert len(lines) == 9
-    bound = dis.truncation_bound(1.0)
-    for line in lines[1:]:
-        assert float(line.split(",")[2]) == pytest.approx(bound)
 
 
 # -- integrals against the base measure ---------------------------------------
 
 
 def test_eta_integral_of_constant_is_one():
-    dis = disintegrate(_skew(), depth=6)
+    dis = Disintegration(_skew(), depth=6)
     assert eta_integral(dis, _ones, panels=16) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_eta_integral_agrees_with_forward_sandwich():
     depth = 10
     skew = _skew()
-    dis = disintegrate(skew, depth=depth)
+    dis = Disintegration(skew, depth=depth)
     integral = eta_integral(dis, _coord, panels=128)
     sw = sandwich_estimate(skew, _coord, depth=depth, fiber_lipschitz=1.0, samples=20_000, seed=3)
     assert sw.gap == pytest.approx(0.5**depth * 2.0)

@@ -15,8 +15,8 @@ from mixlab.suspension import (
     correlation,
     default_observables,
     fit_rate,
+    _sample_arrays,
     flow_to,
-    sample_invariant,
     suspend,
     svg_log_plot,
     temporal_distance,
@@ -99,11 +99,10 @@ def test_flow_over_skew_base_carries_fiber():
 
 def test_sample_invariant_respects_roof():
     susp = _xsq_susp()
-    ps = sample_invariant(susp, 500, seed=2)
-    assert len(ps) == 500
-    roofs = susp.roof.value_many(ps.x)
-    assert np.all(ps.u >= 0.0)
-    assert np.all(ps.u < roofs)
+    xs, zs, us = _sample_arrays(susp, np.random.default_rng(2), 500)
+    assert len(xs) == len(us) == 500 and zs is None
+    assert np.all(us >= 0.0)
+    assert np.all(us < susp.roof.value_many(xs))
 
 
 def test_default_times_grid():

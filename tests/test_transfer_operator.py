@@ -31,11 +31,6 @@ from mixlab.transfer_operator import (
 from mixlab.roof import constant_roof, per_branch_polynomial_roof, polynomial_roof
 
 
-def _three_branch_density(x):
-    # exact invariant density: 3/4 on the first cell, 9/8 on the other two
-    return Fraction(3, 4) if x < Fraction(1, 3) else Fraction(9, 8)
-
-
 # -- pointwise operator ------------------------------------------------------
 
 
@@ -64,14 +59,6 @@ def test_apply_exact_three_branch_counts_covering_branches():
 def test_apply_exact_boundary_raises():
     with pytest.raises(BoundaryPoint):
         apply_exact(doubling_map(), lambda y: 1.0, Fraction(1, 2))
-
-
-def test_apply_exact_invariant_density_is_fixed_point():
-    # reweighting by the exact invariant density makes constants invariant
-    m = three_branch_map()
-    for x in (Fraction(1, 10), Fraction(2, 5), Fraction(9, 10)):
-        out = apply_exact(m, lambda y: Fraction(1), x, density=_three_branch_density)
-        assert out == Fraction(1)
 
 
 # -- Ulam assembly -----------------------------------------------------------
@@ -312,16 +299,6 @@ def test_duality_value_frozen_by_two_exact_routes():
     assert abs(num_lhs - 7.0 / 24.0) <= 1e-13
     assert abs(num_rhs - 7.0 / 24.0) <= 1e-13
     assert duality_check(m, ident, ident) <= 1e-13
-
-
-def test_duality_with_invariant_density():
-    gap = duality_check(
-        three_branch_map(),
-        lambda x: float(x) ** 2,
-        lambda x: float(x),
-        density=lambda x: float(_three_branch_density(Fraction(x).limit_denominator(10**9))),
-    )
-    assert gap <= 1e-12
 
 
 # -- conservation and consistency --------------------------------------------
