@@ -207,11 +207,7 @@ def cmd_cohomology(cfg: ExperimentConfig, rt: Runtime) -> int:
 def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
     m = build_map(cfg)
     induced = m.induce_first_return(cfg.run.base_cell, cfg.run.depth_cap)
-    roof_upper = 1.0
-    if cfg.roof:
-        roof = build_roof(cfg, m)
-        probes = np.linspace(float(m.domain_lo), float(m.domain_hi), 4097)[:-1]
-        roof_upper = float(np.max(roof.value_many(probes))) + 1e-9
+    roof_upper = float(build_roof(cfg, m).upper_bound) if cfg.roof else 1.0
     try:
         stats = tail_statistics(induced, roof_upper_bound=roof_upper)
     except InsufficientDepth as exc:

@@ -46,7 +46,6 @@ _MODEL_KEYS = {
     "intercepts",
     "transition",
     "expansion_bound",
-    "distortion_bound",
     "expansion",
     "contraction",
     "offset",
@@ -381,14 +380,10 @@ def _build_affine_markov(cfg: ExperimentConfig) -> ExpandingMarkovMap:
             raise ConfigError(
                 f"slopes must all exceed 1 in magnitude at {cfg.where('model', 'slopes')}"
             )
-    distortion = 1.0
-    if "distortion_bound" in cfg.model:
-        distortion = _get_float(cfg.model, cfg.path, cfg.lines, "model", "distortion_bound", positive=True)
     return ExpandingMarkovMap(
         branches=branches,
         transition_matrix=rows,
         expansion_bound=bound,
-        distortion_bound=distortion,
         name="affine_markov",
     )
 

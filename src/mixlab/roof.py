@@ -43,13 +43,16 @@ class RoofFunction:
     `value` is polymorphic: Fraction in, Fraction out whenever `exact` is
     set, float otherwise.  `value_many` evaluates a float array at once for
     the flow machinery.  `lower_bound` and `branch_lipschitz` are claimed
-    constants, checked by validate_roof rather than trusted.
+    constants, checked by validate_roof rather than trusted.  `upper_bound`
+    is certified by the builder from the roof's own data (range
+    arithmetic or a closed form) and is never taken from a caller.
     """
 
     base: ExpandingMarkovMap
     value: Callable
     value_many: Callable
     lower_bound: float
+    upper_bound: float
     branch_lipschitz: float
     exact: bool = False
     label: str = "custom"
@@ -114,7 +117,8 @@ def polynomial_roof(
     Rational coefficients keep the exact evaluation path available.
     When `lower_bound` or `branch_lipschitz` is omitted, a certified
     value is computed from the coefficients by monomial range
-    arithmetic, so the defaults always survive `validate_roof`.
+    arithmetic, so the defaults always survive `validate_roof`; the
+    upper bound is always the top of that range.
     """
     exact = all(_is_rational(c) for c in coeffs)
     cs = tuple(Fraction(c) for c in coeffs) if exact else tuple(float(c) for c in coeffs)
@@ -127,12 +131,13 @@ def polynomial_roof(
     def value_many(xs):
         return np.polynomial.polynomial.polyval(np.asarray(xs, dtype=float), fcs)
 
+    inf, sup = _poly_range(cs, base.edges[0], base.edges[-1])
     if lower_bound is None:
-        lower_bound, _ = _poly_range(cs, base.edges[0], base.edges[-1])
+        lower_bound = inf
     if branch_lipschitz is None:
         slope = _poly_slope_bound(cs, base.edges[0], base.edges[-1])
         branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, value_many, lower_bound, branch_lipschitz, exact, label)
+    return RoofFunction(base, value, value_many, lower_bound, sup, branch_lipschitz, exact, label)
 
 
 def per_branch_polynomial_roof(
@@ -145,7 +150,8 @@ def per_branch_polynomial_roof(
     """Roof given by one polynomial per partition cell; cells half-open.
 
     Omitted `lower_bound`/`branch_lipschitz` are certified per cell by
-    monomial range arithmetic, as in `polynomial_roof`.
+    monomial range arithmetic, as in `polynomial_roof`; the upper bound is
+    the largest top of the per-cell ranges.
     """
     if len(coeffs_per_branch) != base.n_cells:
         raise ValueError("need one coefficient list per partition cell")
@@ -170,16 +176,18 @@ def per_branch_polynomial_roof(
                 out[mask] = np.polynomial.polynomial.polyval(xs[mask], fcs)
         return out
 
+    ranges = [_poly_range(cs, base.edges[k], base.edges[k + 1]) for k, cs in enumerate(table)]
     if lower_bound is None:
-        lower_bound = min(
-            _poly_range(cs, base.edges[k], base.edges[k + 1])[0] for k, cs in enumerate(table)
-        )
+        lower_bound = min(inf for inf, _ in ranges)
     if branch_lipschitz is None:
         slope = max(
             _poly_slope_bound(cs, base.edges[k], base.edges[k + 1]) for k, cs in enumerate(table)
         )
         branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, value_many, lower_bound, branch_lipschitz, exact, label)
+    upper_bound = max(sup for _, sup in ranges)
+    return RoofFunction(
+        base, value, value_many, lower_bound, upper_bound, branch_lipschitz, exact, label
+    )
 
 
 def constant_roof(base: ExpandingMarkovMap, c) -> RoofFunction:
@@ -201,23 +209,9 @@ def cosine_roof(
 
     k = 2.0 * math.pi * frequency * abs(amplitude) * base.expansion_bound
     return RoofFunction(
-        base, value, value_many, mean - abs(amplitude), k * (1.0 + 1e-6), False, "cosine"
+        base, value, value_many, mean - abs(amplitude), mean + abs(amplitude),
+        k * (1.0 + 1e-6), False, "cosine",
     )
-
-
-def _probe_extrema(base: ExpandingMarkovMap, value, probes: int = 512):
-    """(min, max, sup |finite-difference slope|) of a roof over cell probes."""
-    lo, hi, slope = math.inf, -math.inf, 0.0
-    for k, b in enumerate(base.branches):
-        xs = low_discrepancy(probes, float(b.lo), float(b.hi), phase=0.13 * k)
-        xs.sort()
-        vals = [float(value(x)) for x in xs]
-        lo = min(lo, min(vals))
-        hi = max(hi, max(vals))
-        for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-            if x1 > x0:
-                slope = max(slope, abs(v1 - v0) / (x1 - x0))
-    return lo, hi, slope
 
 
 def validate_roof(roof: RoofFunction, probes: int = 10_000) -> ValidationReport:
@@ -352,25 +346,29 @@ def _num_str(v) -> str:
 def enumerate_cyclic_classes(m: ExpandingMarkovMap, period: int):
     """Admissible cyclic words of exact minimal period, one per rotation class.
 
-    Yields the lexicographically smallest rotation of each class.
+    Yields the lexicographically smallest rotation of each class, in
+    lexicographic order.  These are the Lyndon words of length `period`,
+    generated by Duval's algorithm (Fredricksen-Kessler-Maiorana order):
+    increment the last letter, extend the word periodically to full
+    length, then strip trailing maximal letters.  Memory is O(period).
     """
-    seen = set()
-    for word in itertools.product(range(m.n_cells), repeat=period):
-        if word in seen:
-            continue
-        rotations = {word[i:] + word[:i] for i in range(period)}
-        seen |= rotations
-        canon = min(rotations)
-        if any(
-            period % q == 0 and canon == canon[:q] * (period // q)
-            for q in range(1, period)
-        ):
-            continue
-        try:
-            m.check_itinerary(canon)
-        except InadmissibleItinerary:
-            continue
-        yield canon
+    top = m.n_cells - 1
+    word = [-1]
+    while word:
+        word[-1] += 1
+        lap = len(word)
+        if lap == period:
+            canon = tuple(word)
+            try:
+                m.check_itinerary(canon)
+            except InadmissibleItinerary:
+                pass
+            else:
+                yield canon
+        while len(word) < period:
+            word.append(word[-lap])
+        while word and word[-1] == top:
+            word.pop()
 
 
 def _divisors(p: int):
@@ -495,9 +493,11 @@ def perturb_bump(
 ) -> RoofFunction:
     """Add a compactly supported bump a*(1 - u^2)^3, u = (x-center)/radius.
 
-    The bump is C^2 with support [center-radius, center+radius].  Every
-    protected point's forward orbit must avoid the support; positivity
-    requires |amplitude| < the roof's lower bound.
+    The bump is C^2 with support [center-radius, center+radius] and peaks
+    at `amplitude` on the center, so a positive amplitude raises the upper
+    bound by exactly that much.  Every protected point's forward orbit must
+    avoid the support; positivity requires |amplitude| < the roof's lower
+    bound.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -548,6 +548,7 @@ def perturb_bump(
         roof,
         value=value,
         lower_bound=new_lower,
+        upper_bound=roof.upper_bound + max(0, amplitude),
         branch_lipschitz=new_lip,
         exact=exact,
         label=roof.label + "+bump",

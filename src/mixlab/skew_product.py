@@ -181,7 +181,7 @@ class Disintegration:
             raise ValueError("origin must lie in the fiber ball")
         x = float(x)
         base.cell_index(x)  # raises BoundaryPoint outside/on edges
-        _, ws, trans, scale = self._tree(x)
+        ws, trans, scale = self._tree(x)
         zs = trans + scale * start
         xs = np.full(len(ws), x)
         return xs, ws, zs
@@ -217,7 +217,7 @@ class Disintegration:
                 raise DepthOverflow(
                     f"level {level} holds {len(pts)} nodes, budget {self.node_budget}"
                 )
-        return pts, ws, trans, scale
+        return ws, trans, scale
 
 
 def eta_integral(

@@ -157,14 +157,10 @@ def attractor_sample(
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
     rad = float(model.fiber_radius) * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     z = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
-    kappa = float(model.kappa)
-    rho = float(model.offset)
+    skew = model.skew
     for _ in range(burn_in):
-        trans = rho * np.stack(
-            [np.cos(2.0 * np.pi * theta), np.sin(2.0 * np.pi * theta)], axis=-1
-        )
-        z = kappa * z + trans
-        theta = (model.expansion * theta) % 1.0
+        z = skew.fiber_map(theta, z)
+        theta = skew.base.evaluate_many(theta)
     return theta, z
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundaryPoint, BracketUndefined, CrossingBudgetExceeded, WindowTooShort
 from .markov_maps import ExpandingMarkovMap
-from .roof import RoofFunction, _probe_extrema
+from .roof import RoofFunction
 from .skew_product import HyperbolicSkewProduct
 from .transfer_operator import InvariantDensity, integrate
 
@@ -44,7 +44,10 @@ class SuspensionSemiflow:
     The roof lives over the base interval map and is constant along fibers
     when the base is a skew product.  ``mean_roof`` is the roof average
     against the base invariant measure and sets the default time scale;
-    ``roof_sup`` is a certified upper envelope used for rejection sampling.
+    ``roof_sup`` is the roof's certified ``upper_bound``, the envelope of
+    the rejection sampler; because r <= roof_sup everywhere, accepting
+    with probability r(x)/roof_sup draws exactly from the length-biased
+    measure.
     """
 
     base: object
@@ -74,7 +77,7 @@ def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = No
 
     `base_density` is None (normalized Lebesgue) or an InvariantDensity;
     it is the base invariant density used for the roof average and for
-    sampling.
+    sampling.  The sampling envelope is the roof's certified upper bound.
     """
     base_map = base.base if isinstance(base, HyperbolicSkewProduct) else base
     if roof.base is not base_map:
@@ -82,11 +85,7 @@ def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = No
     dens = None if base_density is None else base_density.at
     mass = integrate(base_map, lambda x: 1.0, _QUAD_SAMPLES, dens)
     mean = integrate(base_map, lambda x: float(roof.value(x)), _QUAD_SAMPLES, dens) / mass
-
-    lo_probe, hi_probe, slope = _probe_extrema(base_map, roof.value)
-    widest = max(float(b.hi) - float(b.lo) for b in base_map.branches)
-    sup = hi_probe + slope * (widest / 512.0) + 1e-12
-    return SuspensionSemiflow(base, roof, mean, sup, base_density)
+    return SuspensionSemiflow(base, roof, mean, float(roof.upper_bound), base_density)
 
 
 # ---------------------------------------------------------------------------

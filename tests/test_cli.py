@@ -180,6 +180,19 @@ def test_tails_probes_a_domain_away_from_zero(tmp_path):
     assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(2.0, rel=1e-6)
 
 
+def test_tails_roof_bound_is_certified_not_probed(tmp_path):
+    # a bump of height 1/2 and width 1/16384 on the roof 1: the certified
+    # bound is 3/2, so sigma0 = alpha / 3 exactly
+    text = THREE_BRANCH + (
+        "\n[roof]\nkind = constant\nvalue = 1\nbump_center = 1001/8192\n"
+        "bump_radius = 1/32768\nbump_amplitude = 1/2\n"
+    )
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
+    rows = _read(tmp_path, "tails_summary.csv").decode().strip().splitlines()[1:]
+    values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+    assert values["sigma0"] == values["alpha"] / 3.0
+
+
 # -- correlate --------------------------------------------------------------------
 
 
@@ -315,11 +328,13 @@ def test_out_flag_overrides_config_dir(tmp_path):
         ("cohomology", "doubling_xsq", "witness.csv"),
         ("tdist", "doubling_xsq", "tdist.csv"),
         ("tails", "three_branch", "tails.csv"),
+        ("validate", "doubling", "validate_map.csv"),
     ],
 )
 def test_exact_artifacts_match_committed_out(tmp_path, command, config, artifact):
-    # these artifacts come from Fraction arithmetic alone, so their bytes do
-    # not depend on the numpy or BLAS build; float artifacts are left out
+    # these artifacts come from Fraction arithmetic, or from float arithmetic
+    # with no BLAS or libm call, so their bytes do not depend on the numpy or
+    # BLAS build; artifacts that need either are left out
     cfg = str(ROOT / "configs" / f"{config}.cfg")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert (tmp_path / artifact).read_bytes() == (ROOT / "out" / config / artifact).read_bytes()

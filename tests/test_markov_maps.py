@@ -59,6 +59,15 @@ def test_evaluate_many_matches_scalar_route():
         assert y == pytest.approx(float(m.evaluate(Fraction(x).limit_denominator(10**6))[0]), abs=1e-12)
 
 
+def test_evaluate_many_stays_below_domain_hi():
+    # 6 * 0.8333333333333333 rounds to 5.0, so the top branch 6x - 5 gives
+    # exactly 1.0: outside [0, 1) and a float fixed point of every later step
+    m = expanding_circle_map(6)
+    y = m.evaluate_many([0.8333333333333333])
+    assert 0.0 <= y[0] < 1.0
+    assert m.evaluate_many(y)[0] < 1.0
+
+
 @given(st.integers(1, 2**20 - 1))
 def test_doubling_orbit_stays_in_domain(num):
     # dyadic-free rationals never hit a partition edge under doubling

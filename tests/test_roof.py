@@ -1,18 +1,21 @@
 """Cohomology searches, coboundary certificates, and roof perturbations."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.errors import ProtectedOrbitHit
-from mixlab.markov_maps import doubling_map, three_branch_map
+from mixlab.errors import InadmissibleItinerary, ProtectedOrbitHit
+from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import (
     birkhoff_sum,
     certify_coboundary,
     constant_roof,
     cosine_roof,
+    enumerate_cyclic_classes,
     per_branch_polynomial_roof,
     perturb_bump,
     polynomial_roof,
@@ -60,6 +63,36 @@ def test_witness_float_route_close_to_exact():
     report = witness_search(roof, max_period=4)
     assert report.verdict == "WitnessFound"
     assert abs(report.witness.gap - float(GAP)) <= 1e-12
+
+
+def _rotation_set_classes(m, period):
+    """The rotation-set enumeration: every word, one canonical rotation per class."""
+    seen = set()
+    for word in itertools.product(range(m.n_cells), repeat=period):
+        if word in seen:
+            continue
+        rotations = {word[i:] + word[:i] for i in range(period)}
+        seen |= rotations
+        canon = min(rotations)
+        if any(
+            period % q == 0 and canon == canon[:q] * (period // q) for q in range(1, period)
+        ):
+            continue
+        try:
+            m.check_itinerary(canon)
+        except InadmissibleItinerary:
+            continue
+        yield canon
+
+
+@pytest.mark.parametrize(
+    "m, max_period",
+    [(doubling_map(), 10), (three_branch_map(), 8), (expanding_circle_map(3), 8),
+     (expanding_circle_map(4), 6)],
+)
+def test_lyndon_generator_matches_rotation_sets(m, max_period):
+    for p in range(1, max_period + 1):
+        assert list(enumerate_cyclic_classes(m, p)) == list(_rotation_set_classes(m, p))
 
 
 def test_witness_csv_carries_tolerance_column():
@@ -185,3 +218,55 @@ def test_witness_survives_disjoint_bump():
     bumped = perturb_bump(roof, Fraction(1, 100), Fraction(1, 200), Fraction(1, 2))
     after = witness_search(bumped, max_period=4).witness
     assert after.gap == w.gap
+
+
+# ---------------------------------------------------------------------------
+# certified upper bound
+
+
+_COEFF = st.fractions(min_value=-1, max_value=1, max_denominator=16)
+
+
+def _grid_max(roof, extra=()):
+    m = roof.base
+    xs = np.linspace(float(m.domain_lo), float(m.domain_hi), 2**16 + 1)[:-1]
+    return float(np.max(roof.value_many(np.concatenate([xs, np.asarray(extra, dtype=float)]))))
+
+
+@given(st.lists(_COEFF, min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_upper_bound_covers_values(tail):
+    roof = polynomial_roof(doubling_map(), [Fraction(5)] + tail)
+    assert float(roof.upper_bound) >= _grid_max(roof) - 1e-12
+
+
+@given(st.lists(st.lists(_COEFF, min_size=1, max_size=3), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_per_branch_upper_bound_covers_values(tails):
+    roof = per_branch_polynomial_roof(three_branch_map(), [[Fraction(4)] + t for t in tails])
+    assert float(roof.upper_bound) >= _grid_max(roof) - 1e-12
+
+
+@given(
+    st.floats(min_value=1.0, max_value=3.0),
+    st.floats(min_value=-0.9, max_value=0.9),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_cosine_upper_bound_covers_values(mean, amplitude, frequency):
+    roof = cosine_roof(doubling_map(), mean, amplitude, frequency)
+    assert roof.upper_bound >= _grid_max(roof) - 1e-12
+
+
+@given(
+    st.lists(_COEFF, min_size=1, max_size=3),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=4096),
+    st.fractions(min_value=Fraction(1, 10**5), max_value=Fraction(1, 10), max_denominator=10**5),
+    st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=64),
+)
+@settings(max_examples=25, deadline=None)
+def test_bumped_upper_bound_covers_values(tail, center, radius, amplitude):
+    # the grid includes the bump's center, where it peaks, however narrow it is
+    roof = polynomial_roof(doubling_map(), [Fraction(4)] + tail)
+    bumped = perturb_bump(roof, center, radius, amplitude)
+    assert float(bumped.upper_bound) >= _grid_max(bumped, [center]) - 1e-12

@@ -8,7 +8,7 @@ import pytest
 
 from mixlab.errors import BoundaryPoint, BracketUndefined, WindowTooShort
 from mixlab.markov_maps import doubling_map, three_branch_map
-from mixlab.roof import constant_roof, polynomial_roof
+from mixlab.roof import constant_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
     CorrelationSeries,
@@ -103,6 +103,16 @@ def test_sample_invariant_respects_roof():
     assert len(xs) == len(us) == 500 and zs is None
     assert np.all(us >= 0.0)
     assert np.all(us < susp.roof.value_many(xs))
+
+
+def test_sampling_envelope_covers_a_narrow_bump():
+    # a bump of height 1/2 and width 1/1000 on the roof 1: an envelope below
+    # 3/2 would accept under the bump with probability 1, not r/roof_sup
+    base = doubling_map()
+    roof = perturb_bump(
+        constant_roof(base, 1), Fraction(103, 1000), Fraction(1, 2000), Fraction(1, 2)
+    )
+    assert suspend(base, roof).roof_sup >= 1.5
 
 
 def test_default_times_grid():
