@@ -155,7 +155,7 @@ def cmd_validate(cfg: ExperimentConfig, rt: Runtime) -> int:
         return 0 if all(r[1] == "pass" for r in rows) else 1
 
     m = build_map(cfg)
-    report = m.validate_axioms(probes=cfg.run.probes)
+    report = m.validate_axioms()
     _write_artifact(rt.out_dir, "validate_map.csv", report.to_csv())
     ok = report.passed
     for c in report.checks:

@@ -55,7 +55,6 @@ class RoofFunction:
     upper_bound: float
     branch_lipschitz: float
     exact: bool = False
-    label: str = "custom"
 
     def __post_init__(self):
         if not self.lower_bound > 0:
@@ -110,7 +109,6 @@ def polynomial_roof(
     coeffs: Sequence,
     lower_bound=None,
     branch_lipschitz=None,
-    label: str = "poly",
 ) -> RoofFunction:
     """Roof r(x) = c0 + c1 x + ... with one global coefficient list.
 
@@ -137,7 +135,7 @@ def polynomial_roof(
     if branch_lipschitz is None:
         slope = _poly_slope_bound(cs, base.edges[0], base.edges[-1])
         branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, value_many, lower_bound, sup, branch_lipschitz, exact, label)
+    return RoofFunction(base, value, value_many, lower_bound, sup, branch_lipschitz, exact)
 
 
 def per_branch_polynomial_roof(
@@ -145,7 +143,6 @@ def per_branch_polynomial_roof(
     coeffs_per_branch: Sequence[Sequence],
     lower_bound=None,
     branch_lipschitz=None,
-    label: str = "per_branch",
 ) -> RoofFunction:
     """Roof given by one polynomial per partition cell; cells half-open.
 
@@ -185,13 +182,11 @@ def per_branch_polynomial_roof(
         )
         branch_lipschitz = slope * base.expansion_bound
     upper_bound = max(sup for _, sup in ranges)
-    return RoofFunction(
-        base, value, value_many, lower_bound, upper_bound, branch_lipschitz, exact, label
-    )
+    return RoofFunction(base, value, value_many, lower_bound, upper_bound, branch_lipschitz, exact)
 
 
 def constant_roof(base: ExpandingMarkovMap, c) -> RoofFunction:
-    return polynomial_roof(base, (c,), lower_bound=c, branch_lipschitz=1e-15, label="const")
+    return polynomial_roof(base, (c,), lower_bound=c, branch_lipschitz=1e-15)
 
 
 def cosine_roof(
@@ -210,46 +205,43 @@ def cosine_roof(
     k = 2.0 * math.pi * frequency * abs(amplitude) * base.expansion_bound
     return RoofFunction(
         base, value, value_many, mean - abs(amplitude), mean + abs(amplitude),
-        k * (1.0 + 1e-6), False, "cosine",
+        k * (1.0 + 1e-6), False,
     )
 
 
 def validate_roof(roof: RoofFunction, probes: int = 10_000) -> ValidationReport:
-    """Probe positivity against the claimed r0 and |D(r o h)| against K."""
+    """Probe positivity against the claimed r0 and |D(r o h)| against K.
+
+    Each check draws `probes` points per branch and reads the roof through
+    `value_many`; a row's location is the first probe with the worst value.
+    """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     base = roof.base
-    worst, loc = math.inf, 0.0
-    for k, b in enumerate(base.branches):
-        xs = low_discrepancy(probes, float(b.lo), float(b.hi), phase=0.19 * k)
-        for x in xs:
-            v = float(roof.value(x))
-            if v < worst:
-                worst, loc = v, float(x)
+    k = np.arange(base.n_cells)[:, None]
+    xs = low_discrepancy(probes, base.edges_f[:-1, None], base.edges_f[1:, None], 0.19 * k).ravel()
+    vals = roof.value_many(xs)
+    i = int(np.argmin(vals))
+    tol = float(roof.lower_bound) - 1e-12
     positivity = AxiomCheck(
-        "positivity",
-        "pass" if worst >= float(roof.lower_bound) - 1e-12 else "fail",
-        worst,
-        loc,
-        float(roof.lower_bound) - 1e-12,
+        "positivity", "pass" if vals[i] >= tol else "fail", float(vals[i]), float(xs[i]), tol
     )
 
-    # slope of r o h at probe pairs in each branch image
-    worst_s, loc_s = 0.0, 0.0
-    for k, b in enumerate(base.branches):
-        ys = low_discrepancy(probes, float(b.image_lo), float(b.image_hi), phase=0.23 * k)
-        h = (float(b.image_hi) - float(b.image_lo)) * 1e-6
-        for y in ys[:-1]:
-            x0, x1 = float(b.inverse(y)), float(b.inverse(y + h))
-            v = abs(float(roof.value(x1)) - float(roof.value(x0))) / h
-            if v > worst_s:
-                worst_s, loc_s = v, float(y)
+    # slope of r o h at probe pairs (y, y + h) in each branch image
+    ilo = np.array([[float(b.image_lo)] for b in base.branches])
+    ihi = np.array([[float(b.image_hi)] for b in base.branches])
+    ys = low_discrepancy(probes, ilo, ihi, 0.23 * k)[:, :-1]
+    h = (ihi - ilo) * 1e-6
+    slope, intercept = base.slopes_f[:, None], base.intercepts_f[:, None]
+    x0, x1 = (ys - intercept) / slope, (ys + h - intercept) / slope
+    rises = np.abs(roof.value_many(x1) - roof.value_many(x0)) / h
+    # a leading (0, 0) entry: the row reads 0 at 0 when no pair has a positive slope
+    rises = np.concatenate(([0.0], rises.ravel()))
+    at = np.concatenate(([0.0], ys.ravel()))
+    i = int(np.argmax(rises))
+    tol = float(roof.branch_lipschitz) * (1.0 + 1e-4) + 1e-12
     lipschitz = AxiomCheck(
-        "branch_lipschitz",
-        "pass" if worst_s <= float(roof.branch_lipschitz) * (1.0 + 1e-4) + 1e-12 else "fail",
-        worst_s,
-        loc_s,
-        float(roof.branch_lipschitz) * (1.0 + 1e-4) + 1e-12,
+        "branch_lipschitz", "pass" if rises[i] <= tol else "fail", float(rises[i]), float(at[i]), tol
     )
     return ValidationReport((positivity, lipschitz))
 
@@ -444,22 +436,20 @@ def certify_coboundary(
 
     Zero (up to roundoff) certifies that the supplied transfer term makes
     the roof constant on every partition cell.  The returned deviation is
-    sup - inf within the worst branch.
+    sup - inf within the worst branch.  `gamma_coboundary` takes an array.
     """
     if probes < 2:
         raise ValueError("probes must be >= 2")
     base = roof.base
-    worst = 0.0
-    for k, b in enumerate(base.branches):
-        xs = low_discrepancy(probes, float(b.lo), float(b.hi), phase=0.29 * k)
-        vals = []
-        for x in xs:
-            fx = b.forward(x)
-            vals.append(
-                float(roof.value(x)) - float(gamma_coboundary(fx)) + float(gamma_coboundary(x))
-            )
-        worst = max(worst, max(vals) - min(vals))
-    return worst
+    k = np.arange(base.n_cells)[:, None]
+    xs = low_discrepancy(probes, base.edges_f[:-1, None], base.edges_f[1:, None], 0.29 * k)
+    fx = base.slopes_f[:, None] * xs + base.intercepts_f[:, None]
+    vals = (
+        roof.value_many(xs)
+        - np.asarray(gamma_coboundary(fx), dtype=float)
+        + np.asarray(gamma_coboundary(xs), dtype=float)
+    )
+    return float(np.max(vals.max(axis=1) - vals.min(axis=1)))
 
 
 # -- bump perturbation ---------------------------------------------------------
@@ -551,6 +541,5 @@ def perturb_bump(
         upper_bound=roof.upper_bound + max(0, amplitude),
         branch_lipschitz=new_lip,
         exact=exact,
-        label=roof.label + "+bump",
         value_many=value_many,
     )

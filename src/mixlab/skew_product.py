@@ -82,7 +82,6 @@ class HyperbolicSkewProduct:
     base: ExpandingMarkovMap
     fiber_space: FiberBall
     fiber_map: AffineFiberFamily
-    kappa: float
     base_point: np.ndarray | None = None
 
     def __post_init__(self):
@@ -92,6 +91,11 @@ class HyperbolicSkewProduct:
         object.__setattr__(self, "base_point", np.asarray(origin, dtype=float))
         if not self.fiber_space.contains(self.base_point):
             raise ValueError("fiber origin must lie in the fiber ball")
+
+    @property
+    def kappa(self) -> float:
+        """Fiber contraction rate |G(x, z) - G(x, w)| / |z - w|."""
+        return abs(self.fiber_map.contraction)
 
 
 def _ball_probes(ball: FiberBall, count: int, seed: int = 12345) -> np.ndarray:

@@ -83,8 +83,8 @@ def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = No
     if roof.base is not base_map:
         raise ValueError("roof must be defined over the suspension's base map")
     dens = None if base_density is None else base_density.at
-    mass = integrate(base_map, lambda x: 1.0, _QUAD_SAMPLES, dens)
-    mean = integrate(base_map, lambda x: float(roof.value(x)), _QUAD_SAMPLES, dens) / mass
+    mass = integrate(base_map, np.ones_like, _QUAD_SAMPLES, dens)
+    mean = integrate(base_map, roof.value_many, _QUAD_SAMPLES, dens) / mass
     return SuspensionSemiflow(base, roof, mean, float(roof.upper_bound), base_density)
 
 

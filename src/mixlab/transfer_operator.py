@@ -20,6 +20,7 @@ second eigenvalue.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -47,8 +48,7 @@ def apply_exact(map_: ExpandingMarkovMap, v: Callable, x) -> float:
     for k, b in enumerate(map_.branches):
         if not map_.branch_covers(k, x):
             continue
-        y = b.inverse(x)
-        term = 1 / abs(b.derivative(y)) * v(y)
+        term = 1 / abs(b.slope) * v(b.inverse(x))
         total = term if total is None else total + term
     return 0.0 if total is None else total
 
@@ -115,7 +115,11 @@ def _assemble_pullback(map_: ExpandingMarkovMap, bins: int) -> np.ndarray:
                     row[j] = row.get(j, 0) + ov / binw
                 i += 1
 
-    matrix = np.zeros((bins, bins))
+    # a private mapping of its own, unmapped when the matrix is freed: taken
+    # from glibc's heap instead, dense matrices built over and over fragment
+    # it, and peak RSS grows by a whole matrix after a few rebuilds
+    buffer = mmap.mmap(-1, 8 * bins * bins, access=mmap.ACCESS_COPY)
+    matrix = np.frombuffer(buffer, dtype=np.float64).reshape(bins, bins)
     for i, row in enumerate(rows):
         for j, val in row.items():
             matrix[i, j] = float(val)
@@ -131,11 +135,10 @@ class InvariantDensity:
     residual: float
     iterations: int
 
-    def at(self, x) -> float:
-        """Density value at a point (right-continuous step function)."""
-        i = int(np.searchsorted(self.bin_edges, float(x), side="right")) - 1
-        i = min(max(i, 0), len(self.values) - 1)
-        return float(self.values[i])
+    def at(self, x) -> np.ndarray:
+        """Density values at an array of points (right-continuous step function)."""
+        i = np.searchsorted(self.bin_edges, np.asarray(x, dtype=float), side="right") - 1
+        return self.values[np.clip(i, 0, len(self.values) - 1)]
 
     def mass(self) -> float:
         return float(np.sum(self.values * np.diff(self.bin_edges)))
@@ -283,18 +286,6 @@ def _interpolation_matrix(y: np.ndarray, nodes: np.ndarray, bary: np.ndarray) ->
     return out
 
 
-def _require_affine_markov(map_: ExpandingMarkovMap) -> None:
-    for k, b in enumerate(map_.branches):
-        cells = map_.image_cells(k)
-        if (
-            not cells
-            or list(cells) != list(range(cells[0], cells[-1] + 1))
-            or b.image_lo != map_.edges[cells[0]]
-            or b.image_hi != map_.edges[cells[-1] + 1]
-        ):
-            raise NotAffineMarkov(f"image of branch {k} is not the union of its flagged cells")
-
-
 def polynomial_operator(map_: ExpandingMarkovMap, degree: int) -> PolynomialOperator:
     """Discretize L on piecewise polynomials of `degree` by Chebyshev collocation.
 
@@ -309,10 +300,12 @@ def polynomial_operator(map_: ExpandingMarkovMap, degree: int) -> PolynomialOper
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    _require_affine_markov(map_)
+    for k in range(map_.n_cells):
+        if map_.markov_defect(k):
+            raise NotAffineMarkov(f"image of branch {k} is not the union of its flagged cells")
     n = degree + 1
     t, bary, fejer = _chebyshev(n)
-    edges = np.array([float(e) for e in map_.edges])
+    edges = map_.edges_f
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * t  # (cells, n)
     size = map_.n_cells * n
@@ -399,28 +392,38 @@ def duality_check(
     Both integrals are against Lebesgue measure, the reference measure of
     apply_exact.  Panels never straddle partition edges, so the integrands
     are smooth per panel and 8-point Gauss-Legendre converges at full rate.
+    `g` and `v` are called on one float at a time.
     """
-    lhs = integrate(map_, lambda x: float(g(map_.evaluate(x)[0])) * float(v(x)), samples, None)
-    rhs = integrate(map_, lambda x: float(g(x)) * apply_exact(map_, v, x), samples, None)
-    return abs(lhs - rhs)
+
+    def lhs(xs):
+        ys = map_.evaluate_many(xs)
+        return np.array([float(g(y)) * float(v(x)) for x, y in zip(xs.tolist(), ys.tolist())])
+
+    def rhs(xs):
+        return np.array([float(g(x)) * apply_exact(map_, v, x) for x in xs.tolist()])
+
+    return abs(integrate(map_, lhs, samples, None) - integrate(map_, rhs, samples, None))
 
 
 def integrate(
     map_: ExpandingMarkovMap, fn: Callable, samples: int, density: Callable | None
 ) -> float:
-    """Composite Gauss-Legendre integral of fn * density over the domain."""
-    total = 0.0
+    """Composite Gauss-Legendre integral of fn * density over the domain.
+
+    `fn` and `density` take the array of all nodes at once.
+    """
     span = float(map_.domain_hi) - float(map_.domain_lo)
-    for b in map_.branches:
-        a, c = float(b.lo), float(b.hi)
+    nodes, weights = [], []
+    for a, c in zip(map_.edges_f[:-1], map_.edges_f[1:]):
         panels = max(1, round(samples * (c - a) / span / len(_GL_NODES)))
         sub = np.linspace(a, c, panels + 1)
-        for s0, s1 in zip(sub, sub[1:]):
-            xs = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * _GL_NODES
-            for x, w in zip(xs, _GL_WEIGHTS):
-                val = fn(float(x))
-                if density is not None:
-                    val *= float(density(float(x)))
-                total += 0.5 * (s1 - s0) * w * val
-    return total
+        half = 0.5 * (sub[1:] - sub[:-1])
+        nodes.append((0.5 * (sub[:-1] + sub[1:]))[:, None] + half[:, None] * _GL_NODES)
+        weights.append(half[:, None] * _GL_WEIGHTS)
+    xs = np.concatenate(nodes, axis=None)
+    vals = fn(xs)
+    if density is not None:
+        vals = vals * density(xs)
+    # a running sum in node order; np.sum's pairwise order would move the last bits
+    return float(np.cumsum(np.concatenate(weights, axis=None) * vals)[-1])
 

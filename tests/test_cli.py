@@ -86,6 +86,33 @@ def test_validate_map_pass(tmp_path):
     assert b"\r\n" in text and b"fail" not in text
 
 
+# x -> 3x mod 3*2^20 on three cells of width 2^20 = 1048576
+WIDE_TRIPLING = """\
+[model]
+kind = affine_markov
+breakpoints = 0, 1048576, 2097152, 3145728
+slopes = 3, 3, 3
+intercepts = 0, -3145728, -6291456
+transition = 1 1 1; 1 1 1; 1 1 1
+"""
+
+
+def test_validate_reads_markov_images_exactly_on_a_wide_domain(tmp_path, capsys):
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, WIDE_TRIPLING)) == 0
+    assert _read(tmp_path, "validate_map.csv") == (
+        b"axiom,status,worst_probe,location,tolerance\r\n"
+        b"markov_images,pass,0,0,0\r\n"
+        b"expansion,pass,0.33333333333333331,0,0.33333333333433329\r\n"
+    )
+    assert "bijectivity" not in capsys.readouterr().out
+
+
+def test_validate_fails_on_an_expansion_bound_below_the_slopes(tmp_path):
+    text = WIDE_TRIPLING + "expansion_bound = 1/4\n"
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 1
+    assert b"expansion,fail,0.33333333333333331,0," in _read(tmp_path, "validate_map.csv")
+
+
 def test_validate_checks_roof_when_present(tmp_path):
     cfg = _cfg(tmp_path, DOUBLING + XSQ_ROOF)
     assert run(tmp_path, "validate", "--config", cfg) == 0

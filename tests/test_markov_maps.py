@@ -60,12 +60,22 @@ def test_evaluate_many_matches_scalar_route():
 
 
 def test_evaluate_many_stays_below_domain_hi():
-    # 6 * 0.8333333333333333 rounds to 5.0, so the top branch 6x - 5 gives
+    # 0.8333333333333333 lies below 5/6, and 6x - 4 on that cell rounds to
     # exactly 1.0: outside [0, 1) and a float fixed point of every later step
     m = expanding_circle_map(6)
     y = m.evaluate_many([0.8333333333333333])
     assert 0.0 <= y[0] < 1.0
     assert m.evaluate_many(y)[0] < 1.0
+
+
+def test_scalar_evaluate_clamps_float_images_below_domain_hi():
+    # both floats sit just below an inner edge whose branch sends the edge
+    # to domain_hi, and the image rounds up onto it
+    assert expanding_circle_map(6).evaluate(0.8333333333333333) == (0.9999999999999999, 4)
+    assert three_branch_map().evaluate(1 / 3) == (0.9999999999999999, 0)
+    # a Fraction image within 1e-29 of domain_hi stays exact
+    y, k = three_branch_map().evaluate(Fraction(1, 3) - Fraction(1, 10**30))
+    assert (y, k) == (1 - Fraction(2, 10**30), 0)
 
 
 @given(st.integers(1, 2**20 - 1))
@@ -99,12 +109,39 @@ def test_admissibility_checks():
 
 @pytest.mark.parametrize("m", [doubling_map(), three_branch_map(), expanding_circle_map(4)])
 def test_builtin_maps_pass_axioms(m):
-    report = m.validate_axioms(probes=2_000)
+    report = m.validate_axioms()
     assert report.passed, report.to_csv()
 
 
+def test_axioms_read_the_exact_branch_data():
+    # x -> 3x mod 3*2^20 on three cells of width 2^20: a float round trip
+    # through forward(inverse(y)) errs by ~1e-9 here, the exact data by 0
+    w = Fraction(2**20)
+    m = ExpandingMarkovMap(
+        [AffineBranch(k * w, (k + 1) * w, Fraction(3), -3 * k * w) for k in range(3)],
+        [[1, 1, 1]] * 3,
+        expansion_bound=1 / 3,
+    )
+    report = m.validate_axioms()
+    assert report.passed, report.to_csv()
+    assert [c.axiom for c in report.checks] == ["markov_images", "expansion"]
+    assert report["markov_images"].worst_probe == 0
+
+
+def test_axioms_report_the_worst_branch_cell_start():
+    m = three_branch_map()  # 1/|slope| is 1/2 on the first cell, 1/3 on the others
+    report = m.validate_axioms()
+    assert (report["expansion"].worst_probe, report["expansion"].location) == (0.5, 0.0)
+    tight = ExpandingMarkovMap(m.branches, m.transition, expansion_bound=0.4)
+    assert not tight.validate_axioms()["expansion"].passed
+    # flagging cell 0 for the first branch breaks its Markov image [1/3, 1)
+    loose = ExpandingMarkovMap(m.branches, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), 0.5)
+    check = loose.validate_axioms()["markov_images"]
+    assert (check.status, check.worst_probe, check.location) == ("fail", 1 / 3, 0.0)
+
+
 def test_axiom_report_rows_carry_tolerances():
-    report = doubling_map().validate_axioms(probes=500)
+    report = doubling_map().validate_axioms()
     header = report.to_csv().splitlines()[0]
     assert header == "axiom,status,worst_probe,location,tolerance"
     assert all(c.tolerance >= 0 for c in report.checks)
@@ -174,6 +211,25 @@ def test_doubling_first_return_tails_are_dyadic():
         assert tails[n - 1] == HALF ** (n - 1)
     stats = tail_statistics(induced)
     assert stats.alpha == pytest.approx(np.log(2.0), rel=0.05)
+
+
+def test_first_return_branches_compose_the_path():
+    # the composed inverse carried on the DFS stack against the forward maps
+    # composed along each itinerary, in exact arithmetic
+    m = three_branch_map()
+    base = m.branches[0]
+    for br in m.induce_first_return(0, depth_cap=7).branches:
+        slope, intercept = Fraction(1), Fraction(0)
+        for k in br.itinerary:
+            b = m.branches[k]
+            slope, intercept = b.slope * slope, b.slope * intercept + b.intercept
+        assert (br.slope, br.intercept) == (slope, intercept)
+        assert sorted((br.forward(br.lo), br.forward(br.hi))) == [base.lo, base.hi]
+        x = (br.lo + br.hi) / 2
+        for k in br.itinerary:
+            x, cell = m.evaluate(x)
+            assert cell == k
+        assert x == br.forward((br.lo + br.hi) / 2)
 
 
 def test_insufficient_depth_raised_on_shallow_cap():

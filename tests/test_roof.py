@@ -58,6 +58,13 @@ def test_witness_sums_confirmed_by_forward_iteration():
     assert birkhoff_sum(roof, w.x2, w.period) == w.sum2
 
 
+def test_float_birkhoff_sum_survives_an_image_rounded_onto_domain_hi():
+    # 6 * 0.8333333333333333 - 4 rounds to 1.0, which lies outside [0, 1)
+    roof = polynomial_roof(expanding_circle_map(6), (1, 0, 1))
+    total = birkhoff_sum(roof, 0.8333333333333333, 3)
+    assert total == pytest.approx(1 + 0.8333333333333333**2 + 2 + 2, abs=1e-14)
+
+
 def test_witness_float_route_close_to_exact():
     roof = polynomial_roof(doubling_map(), (1.0, 0.0, 1.0))
     report = witness_search(roof, max_period=4)

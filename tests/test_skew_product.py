@@ -30,7 +30,6 @@ def _skew(translation=_cos_translation, contraction=0.5, radius=1.0):
         base=doubling_map(),
         fiber_space=FiberBall(np.zeros(1), radius),
         fiber_map=AffineFiberFamily(contraction=contraction, translation=translation),
-        kappa=contraction,
     )
 
 
@@ -60,8 +59,14 @@ def test_kappa_must_contract():
             base=doubling_map(),
             fiber_space=FiberBall(np.zeros(1), 1.0),
             fiber_map=AffineFiberFamily(contraction=1.0, translation=_const_translation),
-            kappa=1.0,
         )
+
+
+def test_kappa_is_the_fiber_contraction_modulus():
+    skew = _skew(contraction=-0.25)
+    assert skew.kappa == 0.25
+    # kappa^depth * fiber Lipschitz constant * diameter of the unit ball
+    assert Disintegration(skew, depth=3).truncation_bound(2.0) == 0.25**3 * 2.0 * 2.0
 
 
 def test_base_point_must_lie_in_ball():
@@ -70,7 +75,6 @@ def test_base_point_must_lie_in_ball():
             base=doubling_map(),
             fiber_space=FiberBall(np.zeros(1), 1.0),
             fiber_map=AffineFiberFamily(contraction=0.5, translation=_const_translation),
-            kappa=0.5,
             base_point=np.array([2.0]),
         )
 

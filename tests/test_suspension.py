@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixlab.errors import BoundaryPoint, BracketUndefined, WindowTooShort
-from mixlab.markov_maps import doubling_map, three_branch_map
+from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import constant_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
@@ -82,6 +82,16 @@ def test_flow_boundary_orbit_raises():
     # 1/4 doubles onto the partition edge 1/2
     with pytest.raises(BoundaryPoint):
         flow_to(susp, (Fraction(1, 4), Fraction(0)), Fraction(4))
+
+
+def test_float_flow_survives_an_image_rounded_onto_domain_hi():
+    # 6 * 0.8333333333333333 - 4 rounds to 1.0, which lies outside [0, 1)
+    base = expanding_circle_map(6)
+    susp = suspend(base, polynomial_roof(base, (1, 0, 1)))
+    # two crossings: the clamped image 0.9999999999999999, then 6x - 5 below it
+    x, u = flow_to(susp, (0.8333333333333333, 0.0), 5.0)
+    assert 1.0 - 1e-14 < x < 1.0
+    assert u == pytest.approx(5.0 - (1 + 0.8333333333333333**2) - 2.0, abs=1e-14)
 
 
 def test_flow_over_skew_base_carries_fiber():

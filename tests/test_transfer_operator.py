@@ -223,10 +223,10 @@ def test_polynomial_operator_preserves_integral():
     assert abs(op.weights @ np.ones(len(v)) - 1.0) <= 1e-15
 
 
-def test_polynomial_operator_rejects_non_affine_markov_maps():
+def _skewed_doubling():
     # the first branch's image [0, 3/4) is not a union of cells
     half = Fraction(1, 2)
-    skewed = ExpandingMarkovMap(
+    return ExpandingMarkovMap(
         (
             AffineBranch(Fraction(0), half, Fraction(3, 2), Fraction(0)),
             AffineBranch(half, Fraction(1), Fraction(2), Fraction(-1)),
@@ -234,8 +234,30 @@ def test_polynomial_operator_rejects_non_affine_markov_maps():
         [[1, 1], [1, 1]],
         expansion_bound=2.0 / 3.0,
     )
+
+
+def test_polynomial_operator_rejects_non_affine_markov_maps():
     with pytest.raises(NotAffineMarkov):
-        polynomial_operator(skewed, 8)
+        polynomial_operator(_skewed_doubling(), 8)
+
+
+@pytest.mark.parametrize(
+    "m, markov",
+    [
+        (doubling_map(), True),
+        (three_branch_map(), True),
+        (expanding_circle_map(5), True),
+        (_skewed_doubling(), False),
+    ],
+)
+def test_markov_images_verdict_matches_polynomial_operator(m, markov):
+    try:
+        polynomial_operator(m, 2)
+    except NotAffineMarkov:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == m.validate_axioms()["markov_images"].passed == markov
 
 
 def test_resonances_of_constant_roof_on_the_lattice():
@@ -294,8 +316,10 @@ def test_duality_value_frozen_by_two_exact_routes():
 
     m = doubling_map()
     ident = lambda x: x  # noqa: E731
-    num_lhs = integrate(m, lambda x: float(m.evaluate(x)[0]) * x, 2000, None)
-    num_rhs = integrate(m, lambda x: x * float(apply_exact(m, ident, x)), 2000, None)
+    num_lhs = integrate(m, lambda xs: m.evaluate_many(xs) * xs, 2000, None)
+    num_rhs = integrate(
+        m, lambda xs: xs * np.array([float(apply_exact(m, ident, x)) for x in xs.tolist()]), 2000, None
+    )
     assert abs(num_lhs - 7.0 / 24.0) <= 1e-13
     assert abs(num_rhs - 7.0 / 24.0) <= 1e-13
     assert duality_check(m, ident, ident) <= 1e-13
