@@ -16,6 +16,7 @@ from .errors import (
     GeometryViolation,
     InadmissibleItinerary,
     InsufficientDepth,
+    InvalidRoof,
     MixlabError,
     NoConvergence,
     NoReturn,
@@ -45,7 +46,6 @@ from .roof import (
     per_branch_polynomial_roof,
     perturb_bump,
     polynomial_roof,
-    validate_roof,
     witness_search,
 )
 from .skew_product import (

@@ -58,8 +58,6 @@ _ROOF_KEYS = {
     "mean",
     "amplitude",
     "frequency",
-    "lower_bound",
-    "branch_lipschitz",
     "bump_center",
     "bump_radius",
     "bump_amplitude",
@@ -364,6 +362,10 @@ def _build_affine_markov(cfg: ExperimentConfig) -> ExpandingMarkovMap:
             f"transition entries must be 0 or 1 at {cfg.where('model', 'transition')}"
         )
 
+    if any(abs(s) <= 1 for s in slopes):
+        raise ConfigError(
+            f"slopes must all exceed 1 in magnitude at {cfg.where('model', 'slopes')}"
+        )
     branches = tuple(
         AffineBranch(lo, hi, s, c)
         for lo, hi, s, c in zip(edges, edges[1:], slopes, intercepts)
@@ -376,10 +378,6 @@ def _build_affine_markov(cfg: ExperimentConfig) -> ExpandingMarkovMap:
             )
     else:
         bound = max(float(abs(1 / s)) for s in slopes)
-        if not bound < 1:
-            raise ConfigError(
-                f"slopes must all exceed 1 in magnitude at {cfg.where('model', 'slopes')}"
-            )
     return ExpandingMarkovMap(
         branches=branches,
         transition_matrix=rows,
@@ -408,18 +406,12 @@ def build_roof(cfg: ExperimentConfig, base: ExpandingMarkovMap) -> RoofFunction:
         raise ConfigError(f"config {cfg.path} has no [roof] section")
     kind = roof_cfg.get("kind", "polynomial").strip()
 
-    opt = {}
-    if "lower_bound" in roof_cfg:
-        opt["lower_bound"] = _fraction(cfg, "roof", "lower_bound")
-    if "branch_lipschitz" in roof_cfg:
-        opt["branch_lipschitz"] = _fraction(cfg, "roof", "branch_lipschitz")
-
     if kind == "constant":
         _require(cfg, "roof", ("value",))
         roof = constant_roof(base, _fraction(cfg, "roof", "value"))
     elif kind == "polynomial":
         _require(cfg, "roof", ("coeffs",))
-        roof = polynomial_roof(base, _fraction_list(cfg, "roof", "coeffs"), **opt)
+        roof = polynomial_roof(base, _fraction_list(cfg, "roof", "coeffs"))
     elif kind == "per_branch":
         _require(cfg, "roof", ("coeffs",))
         cells = [c for c in cfg.roof["coeffs"].split("|")]
@@ -431,7 +423,7 @@ def build_roof(cfg: ExperimentConfig, base: ExpandingMarkovMap) -> RoofFunction:
             raise ConfigError(
                 f"expected '|'-separated rational lists at {cfg.where('roof', 'coeffs')}"
             ) from exc
-        roof = per_branch_polynomial_roof(base, table, **opt)
+        roof = per_branch_polynomial_roof(base, table)
     elif kind == "cosine":
         _require(cfg, "roof", ("mean", "amplitude"))
         freq = 1

@@ -21,6 +21,10 @@ class InsufficientDepth(MixlabError):
     """Too few tail points enumerated for a statistics fit."""
 
 
+class InvalidRoof(MixlabError):
+    """Roof data a builder rejects: a non-positive roof, or a malformed table or bump."""
+
+
 class ProtectedOrbitHit(MixlabError):
     """A bump support intersects a protected orbit."""
 
@@ -42,7 +46,7 @@ class NoConvergence(MixlabError):
 
 
 class CrossingBudgetExceeded(MixlabError):
-    """A flow step crossed the roof more often than its claimed lower bound allows."""
+    """A flow step crossed the roof more often than its certified lower bound allows."""
 
 
 class WindowTooShort(MixlabError):

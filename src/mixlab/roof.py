@@ -22,15 +22,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundaryPoint, InadmissibleItinerary, ProtectedOrbitHit
-from .markov_maps import (
-    AxiomCheck,
-    ExpandingMarkovMap,
-    ValidationReport,
-    low_discrepancy,
-)
+from .errors import BoundaryPoint, InadmissibleItinerary, InvalidRoof, ProtectedOrbitHit
+from .markov_maps import ExpandingMarkovMap, low_discrepancy
 
 WITNESS_THRESHOLD = 1e-10
+# a polynomial enclosure stops subdividing once no piece reaches beyond the
+# attained values by more than this fraction of their largest magnitude
+ENCLOSURE_RTOL = Fraction(1, 1000)
 
 # sup of |d/du (1-u^2)^3| on [-1,1] is 96/(25*sqrt(5)), attained at u=1/sqrt(5)
 _BUMP_SLOPE_SUP = 96.0 / (25.0 * math.sqrt(5.0))
@@ -42,10 +40,10 @@ class RoofFunction:
 
     `value` is polymorphic: Fraction in, Fraction out whenever `exact` is
     set, float otherwise.  `value_many` evaluates a float array at once for
-    the flow machinery.  `lower_bound` and `branch_lipschitz` are claimed
-    constants, checked by validate_roof rather than trusted.  `upper_bound`
-    is certified by the builder from the roof's own data (range
-    arithmetic or a closed form) and is never taken from a caller.
+    the flow machinery.  `lower_bound`, `upper_bound` and `branch_lipschitz`
+    (a bound on |D(r o h)| over every inverse branch h) are certified by
+    the builder from the roof's own data, by an exact Bernstein enclosure
+    or a closed form, and are never taken from a caller.
     """
 
     base: ExpandingMarkovMap
@@ -58,7 +56,7 @@ class RoofFunction:
 
     def __post_init__(self):
         if not self.lower_bound > 0:
-            raise ValueError("roof lower bound must be positive")
+            raise InvalidRoof(f"roof must stay positive, but its infimum is {self.lower_bound}")
 
     def __call__(self, x):
         return self.value(x)
@@ -75,48 +73,73 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-def _poly_range(coeffs: Sequence, lo, hi):
-    """Certified enclosure of a polynomial's range on [lo, hi].
+def _bernstein(coeffs: Sequence, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Bernstein coefficients on [lo, hi] of c0 + c1 x + ..., exact in Fraction.
 
-    Sums per-monomial ranges, so the enclosure can be loose but never
-    too tight; exact arithmetic is preserved for rational inputs.
+    No coefficients at all is the zero polynomial.
     """
-    if not coeffs:
-        return 0, 0
-    inf = sup = coeffs[0]
-    if lo >= 0:
-        # x^k is monotone on [lo, hi]
-        for k, c in enumerate(coeffs[1:], start=1):
-            a, b = c * lo**k, c * hi**k
-            inf, sup = inf + min(a, b), sup + max(a, b)
-    else:
-        m = max(abs(lo), abs(hi))
-        for k, c in enumerate(coeffs[1:], start=1):
-            r = abs(c) * m**k
-            inf, sup = inf - r, sup + r
-    return inf, sup
+    q = [Fraction(c) for c in coeffs] or [Fraction(0)]
+    n = len(q) - 1
+    for i in range(n):  # Taylor shift to p(lo + t)
+        for k in range(n - 1, i - 1, -1):
+            q[k] += lo * q[k + 1]
+    q = [c * (hi - lo) ** k for k, c in enumerate(q)]  # then t -> (hi - lo) t
+    return [
+        sum(Fraction(math.comb(i, k), math.comb(n, k)) * q[k] for k in range(i + 1))
+        for i in range(n + 1)
+    ]
 
 
-def _poly_slope_bound(coeffs: Sequence, lo, hi):
-    """Certified bound on sup |p'| over [lo, hi]."""
-    deriv = tuple(k * c for k, c in enumerate(coeffs))[1:]
-    d_lo, d_hi = _poly_range(deriv, lo, hi)
-    return max(abs(d_lo), abs(d_hi))
+def _halves(b: list[Fraction]):
+    """de Casteljau split of a Bernstein piece at its midpoint."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(u + v) / 2 for u, v in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
 
 
-def polynomial_roof(
-    base: ExpandingMarkovMap,
-    coeffs: Sequence,
-    lower_bound=None,
-    branch_lipschitz=None,
-) -> RoofFunction:
+def _enclose(pieces: list[list[Fraction]]):
+    """Certified [inf, sup] of a piecewise polynomial in Bernstein form.
+
+    A piece's range lies between its least and greatest coefficient, and
+    its end coefficients are attained values.  Pieces that reach beyond the
+    attained range by more than ENCLOSURE_RTOL of its largest magnitude are
+    split at their midpoints until none does, so the enclosure is within
+    that tolerance of the true range (Cargo-Shisha 1966).
+    """
+    while True:
+        ends = [v for b in pieces for v in (b[0], b[-1])]
+        lo, hi = min(ends), max(ends)
+        slack = ENCLOSURE_RTOL * max(-lo, hi)
+        loose = [min(b) < lo - slack or max(b) > hi + slack for b in pieces]
+        if not any(loose):
+            return min(min(b) for b in pieces), max(max(b) for b in pieces)
+        pieces = [h for b, split in zip(pieces, loose) for h in (_halves(b) if split else (b,))]
+
+
+def _polynomial_roof(base: ExpandingMarkovMap, table, value, value_many, exact) -> RoofFunction:
+    """Roof with one polynomial per cell and every constant certified.
+
+    The bounds are the enclosure of the values, and `branch_lipschitz` is
+    sup |p'| from the enclosure of the derivatives times the map's
+    `expansion_bound`.
+    """
+    cells = list(zip(base.edges, base.edges[1:]))
+    inf, sup = _enclose([_bernstein(cs, lo, hi) for cs, (lo, hi) in zip(table, cells)])
+    derivs = [[k * c for k, c in enumerate(cs)][1:] for cs in table]
+    d_inf, d_sup = _enclose([_bernstein(ds, lo, hi) for ds, (lo, hi) in zip(derivs, cells)])
+    lipschitz = max(-d_inf, d_sup) * base.expansion_bound
+    return RoofFunction(base, value, value_many, inf, sup, lipschitz, exact)
+
+
+def polynomial_roof(base: ExpandingMarkovMap, coeffs: Sequence) -> RoofFunction:
     """Roof r(x) = c0 + c1 x + ... with one global coefficient list.
 
-    Rational coefficients keep the exact evaluation path available.
-    When `lower_bound` or `branch_lipschitz` is omitted, a certified
-    value is computed from the coefficients by monomial range
-    arithmetic, so the defaults always survive `validate_roof`; the
-    upper bound is always the top of that range.
+    Rational coefficients keep the exact evaluation path available.  The
+    bounds and the Lipschitz constant are certified from the coefficients
+    on each cell, exactly even for float coefficients.
     """
     exact = all(_is_rational(c) for c in coeffs)
     cs = tuple(Fraction(c) for c in coeffs) if exact else tuple(float(c) for c in coeffs)
@@ -129,29 +152,21 @@ def polynomial_roof(
     def value_many(xs):
         return np.polynomial.polynomial.polyval(np.asarray(xs, dtype=float), fcs)
 
-    inf, sup = _poly_range(cs, base.edges[0], base.edges[-1])
-    if lower_bound is None:
-        lower_bound = inf
-    if branch_lipschitz is None:
-        slope = _poly_slope_bound(cs, base.edges[0], base.edges[-1])
-        branch_lipschitz = slope * base.expansion_bound
-    return RoofFunction(base, value, value_many, lower_bound, sup, branch_lipschitz, exact)
+    return _polynomial_roof(base, [cs] * base.n_cells, value, value_many, exact)
 
 
 def per_branch_polynomial_roof(
-    base: ExpandingMarkovMap,
-    coeffs_per_branch: Sequence[Sequence],
-    lower_bound=None,
-    branch_lipschitz=None,
+    base: ExpandingMarkovMap, coeffs_per_branch: Sequence[Sequence]
 ) -> RoofFunction:
     """Roof given by one polynomial per partition cell; cells half-open.
 
-    Omitted `lower_bound`/`branch_lipschitz` are certified per cell by
-    monomial range arithmetic, as in `polynomial_roof`; the upper bound is
-    the largest top of the per-cell ranges.
+    The constants are certified cell by cell, as in `polynomial_roof`.
     """
     if len(coeffs_per_branch) != base.n_cells:
-        raise ValueError("need one coefficient list per partition cell")
+        raise InvalidRoof(
+            f"need one coefficient list per partition cell: got {len(coeffs_per_branch)} "
+            f"for {base.n_cells} cells"
+        )
     exact = all(_is_rational(c) for cs in coeffs_per_branch for c in cs)
     table = tuple(
         tuple(Fraction(c) if exact else float(c) for c in cs) for cs in coeffs_per_branch
@@ -173,28 +188,23 @@ def per_branch_polynomial_roof(
                 out[mask] = np.polynomial.polynomial.polyval(xs[mask], fcs)
         return out
 
-    ranges = [_poly_range(cs, base.edges[k], base.edges[k + 1]) for k, cs in enumerate(table)]
-    if lower_bound is None:
-        lower_bound = min(inf for inf, _ in ranges)
-    if branch_lipschitz is None:
-        slope = max(
-            _poly_slope_bound(cs, base.edges[k], base.edges[k + 1]) for k, cs in enumerate(table)
-        )
-        branch_lipschitz = slope * base.expansion_bound
-    upper_bound = max(sup for _, sup in ranges)
-    return RoofFunction(base, value, value_many, lower_bound, upper_bound, branch_lipschitz, exact)
+    return _polynomial_roof(base, table, value, value_many, exact)
 
 
 def constant_roof(base: ExpandingMarkovMap, c) -> RoofFunction:
-    return polynomial_roof(base, (c,), lower_bound=c, branch_lipschitz=1e-15)
+    return polynomial_roof(base, (c,))
 
 
 def cosine_roof(
     base: ExpandingMarkovMap, mean: float, amplitude: float, frequency: int = 1
 ) -> RoofFunction:
-    """r(x) = mean + amplitude*cos(2 pi frequency x); requires mean > |amplitude|."""
+    """r(x) = mean + amplitude*cos(2 pi frequency x); requires mean > |amplitude|.
+
+    The constants are closed forms: mean -+ |amplitude| and
+    2 pi frequency |amplitude| times the map's `expansion_bound`.
+    """
     if not mean > abs(amplitude):
-        raise ValueError("cosine roof must stay positive: need mean > |amplitude|")
+        raise InvalidRoof("cosine roof must stay positive: need mean > |amplitude|")
 
     def value(x):
         return mean + amplitude * math.cos(2.0 * math.pi * frequency * float(x))
@@ -207,43 +217,6 @@ def cosine_roof(
         base, value, value_many, mean - abs(amplitude), mean + abs(amplitude),
         k * (1.0 + 1e-6), False,
     )
-
-
-def validate_roof(roof: RoofFunction, probes: int = 10_000) -> ValidationReport:
-    """Probe positivity against the claimed r0 and |D(r o h)| against K.
-
-    Each check draws `probes` points per branch and reads the roof through
-    `value_many`; a row's location is the first probe with the worst value.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    base = roof.base
-    k = np.arange(base.n_cells)[:, None]
-    xs = low_discrepancy(probes, base.edges_f[:-1, None], base.edges_f[1:, None], 0.19 * k).ravel()
-    vals = roof.value_many(xs)
-    i = int(np.argmin(vals))
-    tol = float(roof.lower_bound) - 1e-12
-    positivity = AxiomCheck(
-        "positivity", "pass" if vals[i] >= tol else "fail", float(vals[i]), float(xs[i]), tol
-    )
-
-    # slope of r o h at probe pairs (y, y + h) in each branch image
-    ilo = np.array([[float(b.image_lo)] for b in base.branches])
-    ihi = np.array([[float(b.image_hi)] for b in base.branches])
-    ys = low_discrepancy(probes, ilo, ihi, 0.23 * k)[:, :-1]
-    h = (ihi - ilo) * 1e-6
-    slope, intercept = base.slopes_f[:, None], base.intercepts_f[:, None]
-    x0, x1 = (ys - intercept) / slope, (ys + h - intercept) / slope
-    rises = np.abs(roof.value_many(x1) - roof.value_many(x0)) / h
-    # a leading (0, 0) entry: the row reads 0 at 0 when no pair has a positive slope
-    rises = np.concatenate(([0.0], rises.ravel()))
-    at = np.concatenate(([0.0], ys.ravel()))
-    i = int(np.argmax(rises))
-    tol = float(roof.branch_lipschitz) * (1.0 + 1e-4) + 1e-12
-    lipschitz = AxiomCheck(
-        "branch_lipschitz", "pass" if rises[i] <= tol else "fail", float(rises[i]), float(at[i]), tol
-    )
-    return ValidationReport((positivity, lipschitz))
 
 
 # -- Birkhoff sums ------------------------------------------------------------
@@ -484,15 +457,17 @@ def perturb_bump(
     """Add a compactly supported bump a*(1 - u^2)^3, u = (x-center)/radius.
 
     The bump is C^2 with support [center-radius, center+radius] and peaks
-    at `amplitude` on the center, so a positive amplitude raises the upper
-    bound by exactly that much.  Every protected point's forward orbit must
-    avoid the support; positivity requires |amplitude| < the roof's lower
-    bound.
+    at `amplitude` on the center, so the certified bounds move by closed
+    forms: a positive amplitude raises the upper bound by exactly that
+    much, a negative one lowers the lower bound by |amplitude|, and the
+    Lipschitz constant grows by the bump's slope bound.  Every protected
+    point's forward orbit must avoid the support; positivity requires
+    |amplitude| < the roof's lower bound.
     """
     if not radius > 0:
-        raise ValueError("radius must be positive")
+        raise InvalidRoof("bump radius must be positive")
     if abs(amplitude) >= float(roof.lower_bound):
-        raise ValueError("|amplitude| must stay below the roof lower bound")
+        raise InvalidRoof("bump |amplitude| must stay below the roof lower bound")
     if amplitude == 0:
         return roof
 

@@ -1,10 +1,16 @@
 """CLI tests: exit codes, artifact layout, and determinism across threads."""
 
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mixlab.cli import main
+from mixlab.errors import CrossingBudgetExceeded, MixlabError
+from mixlab.markov_maps import doubling_map
+from mixlab.roof import per_branch_polynomial_roof
+from mixlab.suspension import correlation, default_observables, suspend
 
 
 DOUBLING = """\
@@ -113,16 +119,57 @@ def test_validate_fails_on_an_expansion_bound_below_the_slopes(tmp_path):
     assert b"expansion,fail,0.33333333333333331,0," in _read(tmp_path, "validate_map.csv")
 
 
-def test_validate_checks_roof_when_present(tmp_path):
+def test_validate_checks_roof_when_present(tmp_path, capsys):
     cfg = _cfg(tmp_path, DOUBLING + XSQ_ROOF)
     assert run(tmp_path, "validate", "--config", cfg) == 0
-    assert b"positivity,pass" in _read(tmp_path, "validate_roof.csv")
+    out = capsys.readouterr().out
+    for line in ("roof lower_bound: 1 ", "roof upper_bound: 2 ", "roof branch_lipschitz: 1 "):
+        assert line in out
+    assert not (tmp_path / "out" / "validate_roof.csv").exists()
 
 
-def test_validate_fails_on_false_roof_claim(tmp_path):
-    text = DOUBLING + XSQ_ROOF.rstrip() + "\nbranch_lipschitz = 1/100\n"
-    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 1
-    assert b"branch_lipschitz,fail" in _read(tmp_path, "validate_roof.csv")
+def test_validate_prints_a_mixed_sign_roof(tmp_path, capsys):
+    # 1 + x - x^2 >= 1 with equality at both ends of [0, 1]
+    text = DOUBLING + XSQ_ROOF.replace("1, 0, 1", "1, 1, -1")
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 0
+    out = capsys.readouterr().out
+    for line in ("roof lower_bound: 1 ", "roof upper_bound: 1.25 ", "roof branch_lipschitz: 0.5 "):
+        assert line in out
+
+
+def test_validate_fails_on_false_roof_claim(tmp_path, capsys):
+    # the roof's constants are certified, so a config cannot claim them
+    for key in ("lower_bound", "branch_lipschitz"):
+        text = DOUBLING + XSQ_ROOF.rstrip() + f"\n{key} = 1/100\n"
+        assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "roof",
+    [
+        "kind = constant\nvalue = -1",
+        "kind = polynomial\ncoeffs = ",
+        "kind = per_branch\ncoeffs = 1",
+        "kind = constant\nvalue = 1\nbump_center = 1/2\nbump_radius = 0\nbump_amplitude = 1/2",
+        "kind = cosine\nmean = 1\namplitude = 2",
+        "kind = constant\nvalue = 1\nbump_center = 1/2\nbump_radius = 1/8\nbump_amplitude = 3/2",
+    ],
+)
+def test_rejected_roof_data_is_a_model_error(tmp_path, capsys, roof):
+    text = DOUBLING + "\n[roof]\n" + roof + "\n"
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 2
+    assert "InvalidRoof" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["", "expansion_bound = 1/2\n"])
+def test_zero_slope_is_a_config_error(tmp_path, capsys, extra):
+    text = (
+        "[model]\nkind = affine_markov\nbreakpoints = 0, 1/2, 1\nslopes = 0, 2\n"
+        "intercepts = 0, -1\ntransition = 1 1; 1 1\n" + extra
+    )
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 2
+    assert "slopes must all exceed 1 in magnitude" in capsys.readouterr().err
 
 
 def test_validate_solenoid_geometry(tmp_path):
@@ -130,6 +177,14 @@ def test_validate_solenoid_geometry(tmp_path):
     text = _read(tmp_path, "validate_skew.csv")
     assert text.startswith(b"axiom,status,worst,tolerance\r\n")
     assert b"fiber_contraction_ratio" in text and b"fiber_invariance_overshoot" in text
+
+
+def test_validate_solenoid_builds_its_roof(tmp_path, capsys):
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, SOLENOID)) == 0
+    assert "roof branch_lipschitz: 0 (certified)" in capsys.readouterr().out
+    bad = SOLENOID.replace("value = 1", "value = -1")
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, bad)) == 2
+    assert "InvalidRoof" in capsys.readouterr().err
 
 
 # -- srb -----------------------------------------------------------------------
@@ -262,16 +317,16 @@ def test_correlate_thread_count_keeps_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_correlate_crossing_budget_is_a_model_error(tmp_path, capsys):
-    # the roof sits far below its claimed lower bound, so one dt step crosses
-    # it more often than the bound allows
-    text = (
-        DOUBLING.split("[run]")[0]
-        + "[roof]\nkind = per_branch\ncoeffs = 1/100 | 1/100\nlower_bound = 1\n\n"
-        + "[run]\nseed = 5\nsamples = 2000\nbatch_size = 500\nt_max = 1\n"
-    )
-    assert run(tmp_path, "correlate", "--config", _cfg(tmp_path, text)) == 2
-    assert "CrossingBudgetExceeded" in capsys.readouterr().err
+def test_correlate_crossing_budget_is_a_model_error():
+    # the roof sits far below a lower bound of 1, so one dt step crosses it
+    # more often than that bound allows
+    base = doubling_map()
+    roof = replace(per_branch_polynomial_roof(base, [(Fraction(1, 100),)] * 2), lower_bound=1)
+    susp = suspend(base, roof)
+    _, phi, psi = default_observables(susp)[0]
+    with pytest.raises(CrossingBudgetExceeded):
+        correlation(susp, phi, psi, times=[0.0, 0.5, 1.0], samples=2000, seed=5, batch_size=500)
+    assert issubclass(CrossingBudgetExceeded, MixlabError)  # the CLI exits 2 on it
 
 
 def test_correlate_seed_changes_bytes(tmp_path):
@@ -346,7 +401,14 @@ def test_out_flag_overrides_config_dir(tmp_path):
     assert (tmp_path / "flag" / "validate_map.csv").exists()
 
 
-# -- committed artifacts ------------------------------------------------------------
+# -- committed configs and artifacts --------------------------------------------------
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.cfg")))
+def test_committed_configs_validate(tmp_path, config):
+    # a config key the code drops would fail here for every config that still uses it
+    assert main(["validate", "--config", str(ROOT / "configs" / config), "--out", str(tmp_path)]) == 0
+
 
 
 @pytest.mark.parametrize(

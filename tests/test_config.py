@@ -201,16 +201,11 @@ def test_build_roof_kinds():
     assert pb.value(Fraction(3, 4)) == 2
 
 
-def test_build_roof_forwards_claimed_constants():
-    roof = build_roof(
-        parse_config(
-            "[roof]\nkind = polynomial\ncoeffs = 1, 0, 1\n"
-            "lower_bound = 1\nbranch_lipschitz = 1\n"
-        ),
-        _doubling(),
-    )
-    assert roof.lower_bound == Fraction(1)
-    assert roof.branch_lipschitz == Fraction(1)
+def test_build_roof_rejects_claimed_constants():
+    # every roof constant is certified by its builder, so no key can claim one
+    for key in ("lower_bound", "branch_lipschitz"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"[roof]\nkind = polynomial\ncoeffs = 1, 0, 1\n{key} = 1\n")
 
 
 def test_build_roof_bump_needs_all_three_keys():

@@ -1,6 +1,7 @@
 """Cohomology searches, coboundary certificates, and roof perturbations."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.errors import InadmissibleItinerary, ProtectedOrbitHit
+from mixlab.errors import InadmissibleItinerary, InvalidRoof, ProtectedOrbitHit
 from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import (
+    ENCLOSURE_RTOL,
     birkhoff_sum,
     certify_coboundary,
     constant_roof,
@@ -19,9 +21,9 @@ from mixlab.roof import (
     per_branch_polynomial_roof,
     perturb_bump,
     polynomial_roof,
-    validate_roof,
     witness_search,
 )
+from mixlab.suspension import suspend
 
 GAP = Fraction(4, 45)  # 26/5 - 46/9, the period-4 obstruction for 1 + x^2
 
@@ -160,29 +162,100 @@ def test_certificate_rejects_wrong_transfer_term():
 
 
 # ---------------------------------------------------------------------------
-# roof validation
+# certified constants against a probe oracle
+
+
+GRID = 2**16
+
+
+def _probe(roof, extra=()):
+    """Grid minimum and maximum of the roof, and the largest slope of r o h.
+
+    The grid has GRID points across the domain, plus `extra`.  A slope of
+    r o h over an inverse branch h is |r(x') - r(x)| / (|slope| (x' - x)) for
+    neighbouring grid points x < x' in one cell, which the mean value
+    theorem bounds by the roof's `branch_lipschitz`.
+    """
+    m = roof.base
+    grid = np.linspace(float(m.domain_lo), float(m.domain_hi), GRID + 1)[:-1]
+    xs = np.unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
+    vals = roof.value_many(xs)
+    cells = np.searchsorted(m.edges_f[1:-1], xs, side="right")
+    same = cells[1:] == cells[:-1]
+    rises = np.abs(np.diff(vals)) / (np.diff(xs) * np.abs(m.slopes_f[cells[:-1]]))
+    return float(vals.min()), float(vals.max()), float(rises[same].max(initial=0.0))
+
+
+def _oracle_accepts(roof):
+    lo, hi, rise = _probe(roof)
+    return (
+        float(roof.lower_bound) <= lo + 1e-12
+        and float(roof.upper_bound) >= hi - 1e-12
+        # float rounding of neighbouring values, divided by the grid step
+        and rise <= float(roof.branch_lipschitz) * (1 + 1e-6) + 1e-8
+    )
+
+
+def _assert_tight(roof, slope_sup):
+    # the grid misses an extreme between its points, or at domain_hi, by at
+    # most one step times sup |r'|
+    lo, hi, _ = _probe(roof)
+    slack = float(ENCLOSURE_RTOL) * max(abs(lo), abs(hi)) + slope_sup / GRID
+    assert float(roof.lower_bound) >= lo - slack
+    assert float(roof.upper_bound) <= hi + slack
 
 
 def test_validate_accepts_builtin_roofs():
-    assert validate_roof(xsq_roof(), probes=2_000).passed
-    assert validate_roof(cosine_roof(doubling_map(), 2, Fraction(1, 2)), probes=2_000).passed
-    assert validate_roof(
-        per_branch_polynomial_roof(three_branch_map(), [(1,), (2,), (Fraction(3, 2),)]),
-        probes=2_000,
-    ).passed
+    assert _oracle_accepts(xsq_roof())
+    assert _oracle_accepts(cosine_roof(doubling_map(), 2, Fraction(1, 2)))
+    assert _oracle_accepts(
+        per_branch_polynomial_roof(three_branch_map(), [(1,), (2,), (Fraction(3, 2),)])
+    )
 
 
 def test_roof_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRoof):
         polynomial_roof(doubling_map(), (Fraction(0), Fraction(1)))  # r(0) = 0
 
 
 def test_validate_flags_false_lipschitz_claim():
-    roof = polynomial_roof(
-        doubling_map(), (Fraction(1), Fraction(0), Fraction(1)), branch_lipschitz=Fraction(1, 100)
-    )
-    report = validate_roof(roof, probes=2_000)
-    assert not report["branch_lipschitz"].passed
+    roof = replace(xsq_roof(), branch_lipschitz=Fraction(1, 100))
+    assert not _oracle_accepts(roof)
+
+
+def test_committed_roof_constants_are_unchanged():
+    # the configs' roofs 1 + x^2 and 1; the constant roof's Lipschitz constant is exactly 0
+    for roof, constants in ((xsq_roof(), (1, 2, 1)), (constant_roof(doubling_map(), 1), (1, 1, 0))):
+        assert (roof.lower_bound, roof.upper_bound, roof.branch_lipschitz) == constants
+
+
+def test_mixed_sign_roof_keeps_its_exact_lower_bound():
+    # 1 + x - x^2 >= 1 on [0, 1], with equality at both ends
+    roof = polynomial_roof(doubling_map(), (1, 1, -1))
+    assert roof.lower_bound == 1
+    assert roof.upper_bound == Fraction(5, 4)
+    assert _oracle_accepts(roof)
+
+
+@pytest.mark.parametrize(
+    "coeffs, inf, sup",
+    [
+        ((2, 1, -1), 2, Fraction(9, 4)),  # maximum at the midpoint 1/2
+        ((2, 1, Fraction(-3, 2)), Fraction(3, 2), Fraction(13, 6)),  # maximum at 1/3
+    ],
+)
+def test_mixed_sign_roof_bounds_are_tight(coeffs, inf, sup):
+    roof = polynomial_roof(doubling_map(), coeffs)
+    assert inf * 0.99 <= roof.lower_bound <= inf
+    assert sup <= roof.upper_bound <= sup * 1.01
+    assert _oracle_accepts(roof)
+
+
+def test_tight_envelope_raises_sampler_acceptance():
+    # 2 + x - x^2 has mean 13/6 and supremum 9/4, so 26/27 of proposals pass
+    roof = polynomial_roof(doubling_map(), (2, 1, -1))
+    susp = suspend(roof.base, roof)
+    assert susp.mean_roof / susp.roof_sup >= 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +287,7 @@ def test_bump_protecting_witness_orbit_raises():
 
 def test_bump_amplitude_capped_by_lower_bound():
     roof = constant_roof(doubling_map(), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRoof):
         perturb_bump(roof, Fraction(1, 2), Fraction(1, 8), Fraction(3, 2))
 
 
@@ -228,30 +301,26 @@ def test_witness_survives_disjoint_bump():
 
 
 # ---------------------------------------------------------------------------
-# certified upper bound
+# certified constants on random data
 
 
 _COEFF = st.fractions(min_value=-1, max_value=1, max_denominator=16)
-
-
-def _grid_max(roof, extra=()):
-    m = roof.base
-    xs = np.linspace(float(m.domain_lo), float(m.domain_hi), 2**16 + 1)[:-1]
-    return float(np.max(roof.value_many(np.concatenate([xs, np.asarray(extra, dtype=float)]))))
 
 
 @given(st.lists(_COEFF, min_size=1, max_size=4))
 @settings(max_examples=25, deadline=None)
 def test_polynomial_upper_bound_covers_values(tail):
     roof = polynomial_roof(doubling_map(), [Fraction(5)] + tail)
-    assert float(roof.upper_bound) >= _grid_max(roof) - 1e-12
+    assert _oracle_accepts(roof)
+    _assert_tight(roof, slope_sup=10)  # |p'| <= 1 + 2 + 3 + 4 on [0, 1]
 
 
 @given(st.lists(st.lists(_COEFF, min_size=1, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_per_branch_upper_bound_covers_values(tails):
     roof = per_branch_polynomial_roof(three_branch_map(), [[Fraction(4)] + t for t in tails])
-    assert float(roof.upper_bound) >= _grid_max(roof) - 1e-12
+    assert _oracle_accepts(roof)
+    _assert_tight(roof, slope_sup=6)  # |p'| <= 1 + 2 + 3 on [0, 1]
 
 
 @given(
@@ -262,7 +331,7 @@ def test_per_branch_upper_bound_covers_values(tails):
 @settings(max_examples=25, deadline=None)
 def test_cosine_upper_bound_covers_values(mean, amplitude, frequency):
     roof = cosine_roof(doubling_map(), mean, amplitude, frequency)
-    assert roof.upper_bound >= _grid_max(roof) - 1e-12
+    assert roof.upper_bound >= _probe(roof)[1] - 1e-12
 
 
 @given(
@@ -276,4 +345,4 @@ def test_bumped_upper_bound_covers_values(tail, center, radius, amplitude):
     # the grid includes the bump's center, where it peaks, however narrow it is
     roof = polynomial_roof(doubling_map(), [Fraction(4)] + tail)
     bumped = perturb_bump(roof, center, radius, amplitude)
-    assert float(bumped.upper_bound) >= _grid_max(bumped, [center]) - 1e-12
+    assert float(bumped.upper_bound) >= _probe(bumped, [center])[1] - 1e-12
