@@ -428,8 +428,12 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
         return np.ones(np.shape(xs))
 
     grid = [(i + 0.5) / 16 for i in range(16)]
-    re_vals = [dis.evaluate(th, re_z) for th in grid]
-    mass_devs = [abs(dis.evaluate(th, one) - 1.0) for th in grid]
+    re_vals, mass_devs = [], []
+    for th in grid:
+        # one tree per grid point, read by both observables as evaluate would
+        xs, ws, zs = dis._leaves(th, None)
+        re_vals.append(float(np.dot(ws, re_z(xs, zs))))
+        mass_devs.append(abs(float(np.dot(ws, one(xs, zs))) - 1.0))
     re_ok = max(abs(v) for v in re_vals) <= 1e-3
     mass_ok = max(mass_devs) <= 1e-9
 

@@ -153,7 +153,14 @@ class Disintegration:
     evaluate(x, v) sums v over the fiber points carried to x along every
     inverse branch chain of length `depth`, weighted by the chain's
     transfer-operator weight.  The node budget caps the widest tree level
-    (the arrays held live at once); deeper requests raise DepthOverflow.
+    (the arrays held live at once); a level over budget raises
+    DepthOverflow before it is allocated.
+
+    Each level is written branch-major in parent order: the children of
+    branch 0 first, in the order of their parents, then those of branch 1,
+    and so on.  That is the order a per-branch concatenation would give,
+    so the leaves and every sum over them do not depend on how a level is
+    stored.
     """
 
     skew: HyperbolicSkewProduct
@@ -186,41 +193,57 @@ class Disintegration:
         x = float(x)
         base.cell_index(x)  # raises BoundaryPoint outside/on edges
         ws, trans, scale = self._tree(x)
-        zs = trans + scale * start
+        trans += scale * start
         xs = np.full(len(ws), x)
-        return xs, ws, zs
+        return xs, ws, trans
 
     def _tree(self, x: float):
         skew = self.skew
-        base = skew.base
         fam = skew.fiber_map
         d = skew.fiber_space.dimension
+        branches = [
+            (float(b.image_lo), float(b.image_hi), float(b.intercept), float(b.slope))
+            for b in skew.base.branches
+        ]
         pts = np.array([x])
         ws = np.array([1.0])
         trans = np.zeros((1, d))
         scale = 1.0  # contraction^level, transports the origin term
         for level in range(1, self.depth + 1):
-            child_pts, child_ws, child_trans = [], [], []
-            for k, b in enumerate(base.branches):
-                ilo, ihi = float(b.image_lo), float(b.image_hi)
-                mask = (pts >= ilo) & (pts < ihi)
-                if not mask.any():
-                    continue
-                sel = pts[mask]
-                slope = float(b.slope)
-                ys = (sel - float(b.intercept)) / slope
-                jac = np.full(len(ys), 1.0 / abs(slope))
-                child_pts.append(ys)
-                child_ws.append(ws[mask] * jac)
-                child_trans.append(trans[mask] + scale * fam.translation_at(ys))
-            pts = np.concatenate(child_pts)
-            ws = np.concatenate(child_ws)
-            trans = np.concatenate(child_trans)
-            scale *= fam.contraction
-            if len(pts) > self.node_budget:
+            # a mask of None: the branch image covers every parent, as it does
+            # on every level of a full-branch circle map
+            lo, hi = pts.min(), pts.max()
+            masks = [
+                None if ilo <= lo and hi < ihi else (pts >= ilo) & (pts < ihi)
+                for ilo, ihi, _, _ in branches
+            ]
+            sizes = [len(pts) if m is None else int(np.count_nonzero(m)) for m in masks]
+            width = sum(sizes)
+            if width > self.node_budget:
                 raise DepthOverflow(
-                    f"level {level} holds {len(pts)} nodes, budget {self.node_budget}"
+                    f"level {level} holds {width} nodes, budget {self.node_budget}"
                 )
+            child_pts = np.empty(width)
+            child_ws = np.empty(width)
+            child_trans = np.empty((width, d))
+            at = 0
+            for (_, _, intercept, slope), mask, size in zip(branches, masks, sizes):
+                if size == 0:
+                    continue
+                part = slice(at, at + size)
+                at += size
+                if mask is None:
+                    sel_pts, sel_ws, sel_trans = pts, ws, trans
+                else:
+                    sel_pts, sel_ws, sel_trans = pts[mask], ws[mask], trans[mask]
+                ys = np.subtract(sel_pts, intercept, out=child_pts[part])
+                np.divide(ys, slope, out=ys)
+                np.multiply(sel_ws, 1.0 / abs(slope), out=child_ws[part])
+                out = child_trans[part]
+                np.multiply(scale, fam.translation_at(ys), out=out)
+                np.add(sel_trans, out, out=out)
+            pts, ws, trans = child_pts, child_ws, child_trans
+            scale *= fam.contraction
         return ws, trans, scale
 
 

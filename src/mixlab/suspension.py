@@ -138,13 +138,18 @@ def flow_to(susp: SuspensionSemiflow, point, t):
     return (x, u)
 
 
-def _advance_arrays(susp: SuspensionSemiflow, x, z, u, dt: float, roof_many: Callable):
-    """In-place vectorized advance of a state batch by dt."""
+def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, live, dt: float, roof_many: Callable):
+    """In-place vectorized advance of a state batch by dt.
+
+    The state is (x, z, u, r) with r equal to roof_many(x) elementwise; a
+    point's roof changes only when it crosses, so r is refreshed at the
+    crossed indices alone and the invariant holds again on return.  `live`
+    is a boolean buffer of the batch's length that the step overwrites.
+    """
     bm = susp.base_map
     sk = susp.skew
     u += dt
-    r = roof_many(x)
-    live = u >= r
+    np.greater_equal(u, r, out=live)
     guard = int(dt / float(susp.roof.lower_bound)) + 2
     while live.any():
         guard -= 1
@@ -154,8 +159,9 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, dt: float, roof_many: Cal
         u[idx] -= r[idx]
         if sk is not None:
             z[idx] = sk.fiber_map(x[idx], z[idx])
-        x[idx] = bm.evaluate_many(x[idx])
-        r[idx] = roof_many(x[idx])
+        moved = bm.evaluate_many(x[idx])
+        x[idx] = moved
+        r[idx] = roof_many(moved)
         live[idx] = u[idx] >= r[idx]
     return x, z, u
 
@@ -279,16 +285,20 @@ def correlation(
     def run_batch(b: int):
         rng = np.random.default_rng([int(seed), int(b)])
         x, z, u = _sample_arrays(susp, rng, per_batch, fiber_depth)
-        psi0 = np.asarray(_eval_obs(psi, x, u, z), dtype=float)
+        r = roof_many(x)
+        live = np.empty(per_batch, dtype=bool)
+        prod = np.empty(per_batch)
+        # a copy: psi may return a view of the state, which the advance overwrites
+        psi0 = np.array(_eval_obs(psi, x, u, z), dtype=float)
         prod_means = np.empty(len(times))
         phi_means = np.empty(len(times))
         prev = 0.0
         for j, t in enumerate(times):
             if t > prev:
-                x, z, u = _advance_arrays(susp, x, z, u, t - prev, roof_many)
+                x, z, u = _advance_arrays(susp, x, z, u, r, live, t - prev, roof_many)
                 prev = t
             ph = np.asarray(_eval_obs(phi, x, u, z), dtype=float)
-            prod_means[j] = float(np.mean(ph * psi0))
+            prod_means[j] = float(np.mean(np.multiply(ph, psi0, out=prod)))
             phi_means[j] = float(np.mean(ph))
         return prod_means, phi_means, float(np.mean(psi0))
 
@@ -317,7 +327,12 @@ def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, C
     rbar = susp.mean_roof
 
     def height_mix(x, u, z=None):
-        return np.cos(2.0 * np.pi * u / rbar) * (1.0 + x)
+        # cos(2 pi u / rbar) * (1 + x), the same operations on one buffer
+        out = np.multiply(2.0 * np.pi, u, out=np.empty(np.shape(u)))
+        np.divide(out, rbar, out=out)
+        np.cos(out, out=out)
+        np.multiply(out, 1.0 + x, out=out)
+        return out
 
     pairs = [("height_mix", height_mix, height_mix)]
     if susp.skew is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixlab.errors import BoundaryPoint, DepthOverflow
-from mixlab.markov_maps import doubling_map
+from mixlab.markov_maps import doubling_map, three_branch_map
 from mixlab.skew_product import (
     AffineFiberFamily,
     Disintegration,
@@ -134,6 +134,39 @@ def test_depth_overflow_affine_tree():
         dis.evaluate(0.3, _ones)
 
 
+def _counted_translation(points):
+    def translation(xs):
+        points.append(np.size(xs))
+        return _cos_translation(xs)
+
+    return translation
+
+
+def test_depth_overflow_names_the_first_level_over_budget():
+    # levels hold 2, 4, ..., 128 nodes: level 7 is the first above 100, and it
+    # is refused before any of its nodes is translated
+    points = []
+    dis = Disintegration(_skew(translation=_counted_translation(points)), depth=9, node_budget=100)
+    with pytest.raises(DepthOverflow, match=r"^level 7 holds 128 nodes, budget 100$"):
+        dis.evaluate(0.3, _ones)
+    assert sum(points) == 2 + 4 + 8 + 16 + 32 + 64
+
+
+def test_one_evaluate_builds_one_tree():
+    # each tree node is translated once and the observable reads each leaf once
+    depth = 8
+    points, leaves = [], []
+
+    def coord(xs, zs):
+        leaves.append(len(xs))
+        return _coord(xs, zs)
+
+    dis = Disintegration(_skew(translation=_counted_translation(points)), depth=depth)
+    dis.evaluate(0.37, coord)
+    assert sum(points) == 2 ** (depth + 1) - 2
+    assert leaves == [2**depth]
+
+
 def _chain_walk_leaves(skew, x, depth):
     """(weight, fiber point) of every depth-n inverse-branch chain at x.
 
@@ -165,6 +198,24 @@ def test_affine_and_generic_trees_agree():
     for x in (0.11, 0.52, 0.93):
         leaves = _chain_walk_leaves(skew, x, 6)
         assert len(leaves) == 2**6
+        walked = sum(w * float(z[0]) for w, z in leaves)
+        assert dis.evaluate(x, _coord) == pytest.approx(walked, abs=1e-12)
+
+
+def test_tree_over_non_full_branch_base_matches_chain_walk():
+    # three_branch's first image is [1/3, 1): points below 1/3 have two
+    # preimages and the rest three, so each level takes the masked path
+    skew = HyperbolicSkewProduct(
+        base=three_branch_map(),
+        fiber_space=FiberBall(np.zeros(1), 1.0),
+        fiber_map=AffineFiberFamily(contraction=0.5, translation=_cos_translation),
+    )
+    dis = Disintegration(skew, depth=6)
+    for x in (0.11, 0.52, 0.93):
+        leaves = _chain_walk_leaves(skew, x, 6)
+        _, ws, _ = dis._leaves(x, None)
+        assert len(ws) == len(leaves)
+        assert float(ws.sum()) == pytest.approx(sum(w for w, _ in leaves), abs=1e-12)
         walked = sum(w * float(z[0]) for w, z in leaves)
         assert dis.evaluate(x, _coord) == pytest.approx(walked, abs=1e-12)
 

@@ -1,13 +1,19 @@
 """Suspension semiflow tests: exact flow, correlations, decay fits, distances."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mixlab.errors import BoundaryPoint, BracketUndefined, WindowTooShort
-from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
+from mixlab.markov_maps import (
+    ExpandingMarkovMap,
+    doubling_map,
+    expanding_circle_map,
+    three_branch_map,
+)
 from mixlab.roof import constant_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
@@ -157,6 +163,51 @@ def test_correlation_thread_count_never_changes_bytes():
     assert np.array_equal(one.values, three.values)
     assert np.array_equal(one.std_errors, three.std_errors)
     assert one.to_csv() == three.to_csv()
+
+
+def test_correlation_reads_the_roof_once_per_sample_and_crossing(monkeypatch):
+    # the batch state carries r(x): after sampling, the roof is read once per
+    # sample and once per crossing, not once per sample at every grid step
+    base = doubling_map()
+    roof = polynomial_roof(base, (1, 0, 1))
+    roof_points, crossings = [], []
+
+    def counted_roof(xs):
+        roof_points.append(np.size(xs))
+        return roof.value_many(xs)
+
+    susp = suspend(base, replace(roof, value_many=counted_roof))
+    samples, batch, seed = 4000, 1000, 3
+    roof_points.clear()
+    # batch b draws from default_rng([seed, b]); replay the sampler to count its reads
+    for b in range(samples // batch):
+        _sample_arrays(susp, np.random.default_rng([seed, b]), batch)
+    sampler_points = sum(roof_points)
+    roof_points.clear()
+
+    evaluate_many = ExpandingMarkovMap.evaluate_many
+
+    def counted_step(self, xs):
+        crossings.append(np.size(xs))
+        return evaluate_many(self, xs)
+
+    monkeypatch.setattr(ExpandingMarkovMap, "evaluate_many", counted_step)
+    _, phi, psi = default_observables(susp)[0]
+    series = correlation(susp, phi, psi, samples=samples, seed=seed, batch_size=batch)
+    steps = len(series.times) - 1
+    assert series.sample_count == samples
+    assert sum(roof_points) - sampler_points <= samples + sum(crossings)
+    assert samples + sum(crossings) < samples * steps / 4
+
+
+def test_correlation_keeps_psi_at_time_zero():
+    # an observable that returns the state array itself must give the series
+    # of one that returns a copy: psi(0) may not follow the advanced state
+    susp = _const_susp()
+    kw = dict(times=[0.0, 0.5, 1.5, 2.5], samples=4000, seed=0)
+    view = correlation(susp, lambda x, u: x, lambda x, u: x, **kw)
+    copy = correlation(susp, lambda x, u: x.copy(), lambda x, u: x.copy(), **kw)
+    assert view.to_csv() == copy.to_csv()
 
 
 def test_correlation_validates_grid_and_samples():
