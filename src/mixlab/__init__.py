@@ -21,6 +21,7 @@ from .errors import (
     NoConvergence,
     NoReturn,
     NotAffineMarkov,
+    NotFullBranch,
     ProtectedOrbitHit,
     WindowTooShort,
 )

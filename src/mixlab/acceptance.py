@@ -431,7 +431,7 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
     re_vals, mass_devs = [], []
     for th in grid:
         # one tree per grid point, read by both observables as evaluate would
-        xs, ws, zs = dis._leaves(th, None)
+        xs, ws, zs = dis.leaves(th)
         re_vals.append(float(np.dot(ws, re_z(xs, zs))))
         mass_devs.append(abs(float(np.dot(ws, one(xs, zs))) - 1.0))
     re_ok = max(abs(v) for v in re_vals) <= 1e-3

@@ -33,6 +33,10 @@ class DepthOverflow(MixlabError):
     """Inverse-branch tree exceeded the node budget."""
 
 
+class NotFullBranch(MixlabError):
+    """A skew product needs the full-branch circle base x -> d x mod 1 and a 2-D fiber."""
+
+
 class BinMisalignment(MixlabError):
     """Ulam bins do not refine the Markov partition."""
 

@@ -1,30 +1,36 @@
-"""Hyperbolic skew products over expanding Markov bases.
+"""Hyperbolic skew products over full-branch circle maps.
 
-F(x,z) = (f x, G(x, z)) with f an expanding Markov map and G an affine
-fiber family contracting a compact fiber ball into itself.  The module
-validates the contraction and invariance axioms by probing, computes the
-family of fiber measures eta_x as depth-n inverse-branch sums, and
-integrates them against normalized Lebesgue measure on the base, which is
-the invariant measure of the full-branch circle maps the solenoid uses.
+F(x, z) = (d x mod 1, G(x, z)) with G(x, z) = kappa z + rho (cos, sin)(2 pi x)
+contracting a disk into itself: the solenoid's fiber family, the only one a
+config, CLI subcommand or acceptance criterion builds.  The module validates
+the contraction and invariance axioms by probing, computes the family of
+fiber measures eta_x as depth-n inverse-branch sums, and integrates them
+against normalized Lebesgue measure, the invariant measure of the base.
 
 Observables are callables v(x, z) with z an array of fiber points, shape
-(..., d); they must broadcast over the leading axes.  eta_x(v) is the
+(..., 2); they must broadcast over the leading axes.  eta_x(v) is the
 weighted sum of v over the fiber points reached by pushing the fiber
 origin up every inverse branch chain of length depth; the truncation error
 is kappa^depth times the observable's fiber Lipschitz constant times the
 fiber diameter.
+
+The level-k preimages of x are (x + J)/d^k, and the translation there is
+the translation at x/d^k rotated by 2 pi J/d^k.  A tree therefore costs one
+translation of the depth phases x/d^k plus one complex multiply and one
+parent add per node, against one table of d^depth roots of unity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import DepthOverflow
-from .markov_maps import ExpandingMarkovMap, low_discrepancy
+from .errors import DepthOverflow, NotFullBranch
+from .markov_maps import ExpandingMarkovMap, expanding_circle_map, low_discrepancy
 
 NODE_BUDGET = 2_000_000
 
@@ -59,38 +65,55 @@ class FiberBall:
 
 @dataclass(frozen=True)
 class AffineFiberFamily:
-    """G(x, z) = contraction * z + translation(x); translation vectorized.
+    """G(x, z) = contraction * z + offset * (cos, sin)(2 pi x) on a 2-D fiber.
 
-    The affine structure lets the disintegration push fiber origins down
-    the whole inverse-branch tree with per-level array arithmetic instead
-    of per-leaf chains.
+    The translation has period 1, so at (x + J)/d^k it is the translation at
+    x/d^k rotated by 2 pi J/d^k: the closed form the disintegration builds
+    every tree level from.
     """
 
     contraction: float
-    translation: Callable[[np.ndarray], np.ndarray]
+    offset: float
 
     def __call__(self, x, z):
         return self.contraction * np.asarray(z, dtype=float) + self.translation_at(x)
 
     def translation_at(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        return np.asarray(self.translation(xs), dtype=float)
+        # offset * (cos, sin)(2 pi x), written column by column into one array
+        angle = 2.0 * np.pi * np.asarray(x, dtype=float)
+        out = np.empty(np.shape(angle) + (2,))
+        np.cos(angle, out=out[..., 0])
+        np.sin(angle, out=out[..., 1])
+        np.multiply(self.offset, out, out=out)
+        return out
 
 
 @dataclass(frozen=True)
 class HyperbolicSkewProduct:
+    """Affine disk fiber family over the full-branch circle map x -> d x mod 1."""
+
     base: ExpandingMarkovMap
     fiber_space: FiberBall
     fiber_map: AffineFiberFamily
     base_point: np.ndarray | None = None
 
     def __post_init__(self):
+        branches = self.base.branches
+        if len(branches) < 2 or branches != expanding_circle_map(len(branches)).branches:
+            raise NotFullBranch(f"base {self.base.name} is not x -> d x mod 1 on [0, 1)")
+        if self.fiber_space.dimension != 2:
+            raise NotFullBranch(f"fiber has dimension {self.fiber_space.dimension}, not 2")
         if not 0 < self.kappa < 1:
             raise ValueError("kappa must lie in (0,1)")
         origin = self.fiber_space.center if self.base_point is None else self.base_point
         object.__setattr__(self, "base_point", np.asarray(origin, dtype=float))
         if not self.fiber_space.contains(self.base_point):
             raise ValueError("fiber origin must lie in the fiber ball")
+
+    @property
+    def degree(self) -> int:
+        """Expansion degree d of the base circle map."""
+        return len(self.base.branches)
 
     @property
     def kappa(self) -> float:
@@ -151,16 +174,18 @@ class Disintegration:
     """Depth-n approximation of the fiber measures eta_x.
 
     evaluate(x, v) sums v over the fiber points carried to x along every
-    inverse branch chain of length `depth`, weighted by the chain's
-    transfer-operator weight.  The node budget caps the widest tree level
-    (the arrays held live at once); a level over budget raises
-    DepthOverflow before it is allocated.
+    inverse branch chain of length `depth`, each weighted d^-depth.  The
+    node budget caps the widest tree level: a depth whose level d^k exceeds
+    it raises DepthOverflow, naming the first such level, before any node
+    is built.
 
-    Each level is written branch-major in parent order: the children of
-    branch 0 first, in the order of their parents, then those of branch 1,
-    and so on.  That is the order a per-branch concatenation would give,
-    so the leaves and every sum over them do not depend on how a level is
-    stored.
+    Levels are held in digit-reversed order: position p of level k is the
+    node (x + J)/d^k with J the k base-d digits of p reversed.  Level k's
+    rotations are then the prefix [:d^k] of one table of d^depth roots of
+    unity, and the children of position p are d p .. d p + d - 1, so each
+    child slice [i::d] adds the parent level as it stands.  The table is
+    built at the first tree, not with the Disintegration, and serves every
+    later tree.
     """
 
     skew: HyperbolicSkewProduct
@@ -173,85 +198,56 @@ class Disintegration:
 
     def truncation_bound(self, fiber_lipschitz: float) -> float:
         """Certified |eta_x(v) - lim| bound for v with the given fiber Lipschitz constant."""
-        return (
-            self.skew.kappa**self.depth
-            * fiber_lipschitz
-            * self.skew.fiber_space.diameter
-        )
+        return self.skew.kappa**self.depth * fiber_lipschitz * self.skew.fiber_space.diameter
 
     def evaluate(self, x, v: Callable, origin: np.ndarray | None = None) -> float:
-        xs, ws, zs = self._leaves(x, origin)
+        xs, ws, zs = self.leaves(x, origin)
         return float(np.dot(ws, np.asarray(v(xs, zs), dtype=float)))
 
-    def _leaves(self, x, origin: np.ndarray | None):
+    def leaves(self, x, origin: np.ndarray | None = None):
         """(base points, weights, fiber points) of the depth-n tree at x."""
         skew = self.skew
-        base = skew.base
         start = skew.base_point if origin is None else np.asarray(origin, dtype=float)
         if not skew.fiber_space.contains(start):
             raise ValueError("origin must lie in the fiber ball")
         x = float(x)
-        base.cell_index(x)  # raises BoundaryPoint outside/on edges
-        ws, trans, scale = self._tree(x)
-        trans += scale * start
-        xs = np.full(len(ws), x)
-        return xs, ws, trans
+        skew.base.cell_index(x)  # raises BoundaryPoint outside/on edges
+        d = skew.degree
+        over = next((k for k in range(1, self.depth + 1) if d**k > self.node_budget), None)
+        if over is not None:
+            raise DepthOverflow(f"level {over} holds {d**over} nodes, budget {self.node_budget}")
+        roots = self._roots
+        trans = skew.fiber_map.translation_at(x / float(d) ** np.arange(1, self.depth + 1))
+        n = d**self.depth
+        # levels alternate between two buffers so that the leaves fill the wide one
+        bufs = (np.empty(n, dtype=complex), np.empty(n // d, dtype=complex))
+        tree = np.zeros(1, dtype=complex)
+        scale = 1.0  # contraction^(level - 1), transports each level's translation
+        for k in range(self.depth):
+            out = bufs[(self.depth - 1 - k) % 2][: d ** (k + 1)]
+            child = np.multiply(roots[: d ** (k + 1)], scale * complex(*trans[k]), out=out)
+            for i in range(d):
+                child[i::d] += tree
+            tree = child
+            scale *= skew.fiber_map.contraction
+        tree += scale * complex(*start)
+        return np.full(n, x), np.full(n, 1.0 / n), tree.view(float).reshape(n, 2)
 
-    def _tree(self, x: float):
-        skew = self.skew
-        fam = skew.fiber_map
-        d = skew.fiber_space.dimension
-        branches = [
-            (float(b.image_lo), float(b.image_hi), float(b.intercept), float(b.slope))
-            for b in skew.base.branches
-        ]
-        pts = np.array([x])
-        ws = np.array([1.0])
-        trans = np.zeros((1, d))
-        scale = 1.0  # contraction^level, transports the origin term
-        for level in range(1, self.depth + 1):
-            # a mask of None: the branch image covers every parent, as it does
-            # on every level of a full-branch circle map
-            lo, hi = pts.min(), pts.max()
-            masks = [
-                None if ilo <= lo and hi < ihi else (pts >= ilo) & (pts < ihi)
-                for ilo, ihi, _, _ in branches
-            ]
-            sizes = [len(pts) if m is None else int(np.count_nonzero(m)) for m in masks]
-            width = sum(sizes)
-            if width > self.node_budget:
-                raise DepthOverflow(
-                    f"level {level} holds {width} nodes, budget {self.node_budget}"
-                )
-            child_pts = np.empty(width)
-            child_ws = np.empty(width)
-            child_trans = np.empty((width, d))
-            at = 0
-            for (_, _, intercept, slope), mask, size in zip(branches, masks, sizes):
-                if size == 0:
-                    continue
-                part = slice(at, at + size)
-                at += size
-                if mask is None:
-                    sel_pts, sel_ws, sel_trans = pts, ws, trans
-                else:
-                    sel_pts, sel_ws, sel_trans = pts[mask], ws[mask], trans[mask]
-                ys = np.subtract(sel_pts, intercept, out=child_pts[part])
-                np.divide(ys, slope, out=ys)
-                np.multiply(sel_ws, 1.0 / abs(slope), out=child_ws[part])
-                out = child_trans[part]
-                np.multiply(scale, fam.translation_at(ys), out=out)
-                np.add(sel_trans, out, out=out)
-            pts, ws, trans = child_pts, child_ws, child_trans
-            scale *= fam.contraction
-        return ws, trans, scale
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """exp(2 pi i J / d^depth) at position p, J the digit reversal of p."""
+        d = self.skew.degree
+        rev = np.zeros(1, dtype=np.int64)
+        for k in range(self.depth):
+            rev = (rev[:, None] + d**k * np.arange(d)).ravel()
+        angle = (2.0 * np.pi) * (rev / float(len(rev)))
+        roots = np.empty(len(rev), dtype=complex)
+        np.cos(angle, out=roots.real)
+        np.sin(angle, out=roots.imag)
+        return roots
 
 
-def eta_integral(
-    dis: Disintegration,
-    v: Callable,
-    panels: int = 64,
-) -> float:
+def eta_integral(dis: Disintegration, v: Callable, panels: int = 64) -> float:
     """Integral of x -> eta_x(v) against normalized Lebesgue measure.
 
     Composite midpoint quadrature per partition cell; panel count is per

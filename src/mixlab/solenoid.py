@@ -61,24 +61,12 @@ class SolenoidModel:
 
     @property
     def skew(self) -> HyperbolicSkewProduct:
-        # float locals: a Fraction offset broadcast into an ndarray would force
-        # elementwise object arithmetic at every transport step
-        rho = float(self.offset)
-
-        def translation(th):
-            # rho * (cos, sin)(2 pi th), written column by column into one array
-            angle = 2.0 * np.pi * np.asarray(th)
-            out = np.empty(np.shape(angle) + (2,))
-            np.cos(angle, out=out[..., 0])
-            np.sin(angle, out=out[..., 1])
-            np.multiply(rho, out, out=out)
-            return out
-
-        fam = AffineFiberFamily(contraction=float(self.kappa), translation=translation)
         return HyperbolicSkewProduct(
             base=expanding_circle_map(self.expansion),
             fiber_space=FiberBall(center=np.zeros(2), radius=float(self.fiber_radius)),
-            fiber_map=fam,
+            # floats: a Fraction broadcast into an ndarray would force elementwise
+            # object arithmetic at every transport step
+            fiber_map=AffineFiberFamily(float(self.kappa), float(self.offset)),
         )
 
 

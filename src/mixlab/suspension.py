@@ -190,9 +190,10 @@ def _draw_base(susp: SuspensionSemiflow, rng, m: int) -> np.ndarray:
 def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30):
     """Length-biased sampler for the normalized suspension measure.
 
-    Proposes base points from the invariant density (after a deep fiber
-    push on skew bases), accepts with probability r(x)/roof_sup, and draws
-    the height uniformly on [0, r(x)).
+    Proposes base points from the invariant density, pushed `fiber_depth`
+    base steps on skew bases, accepts with probability r(x)/roof_sup, and
+    draws the height uniformly on [0, r(x)).  Only accepted proposals carry
+    a fiber point, pushed from the disk center along their own base orbit.
     """
     bm = susp.base_map
     sk = susp.skew
@@ -206,11 +207,9 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
     filled = 0
     while filled < n:
         m = max(1024, int(1.5 * (n - filled)))
-        cand = _draw_base(susp, rng, m)
+        cand0 = cand = _draw_base(susp, rng, m)
         if sk is not None:
-            z = np.tile(np.asarray(sk.fiber_space.center, dtype=float), (m, 1))
             for _ in range(fiber_depth):
-                z = sk.fiber_map(cand, z)
                 cand = bm.evaluate_many(cand)
         r = roof_many(cand)
         u01 = rng.random(m)
@@ -220,7 +219,12 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
         xs[filled : filled + take] = cand[sel]
         us[filled : filled + take] = u01[sel] * r[sel]
         if sk is not None:
-            zs[filled : filled + take] = z[sel]
+            y = cand0[sel]
+            z = np.tile(np.asarray(sk.fiber_space.center, dtype=float), (take, 1))
+            for _ in range(fiber_depth):
+                z = sk.fiber_map(y, z)
+                y = bm.evaluate_many(y)
+            zs[filled : filled + take] = z
         filled += take
     return xs, zs, us
 

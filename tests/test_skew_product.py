@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mixlab.errors import BoundaryPoint, DepthOverflow
-from mixlab.markov_maps import doubling_map, three_branch_map
+from mixlab.errors import BoundaryPoint, DepthOverflow, NotFullBranch
+from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.skew_product import (
     AffineFiberFamily,
     Disintegration,
@@ -17,19 +17,12 @@ from mixlab.skew_product import (
 )
 
 
-def _cos_translation(xs):
-    return 0.4 * np.cos(2.0 * np.pi * np.asarray(xs, dtype=float))[..., None]
-
-
-def _const_translation(xs):
-    return np.full(np.shape(np.asarray(xs)) + (1,), 0.3)
-
-
-def _skew(translation=_cos_translation, contraction=0.5, radius=1.0):
+def _skew(contraction=0.5, radius=1.0, offset=0.4, degree=2):
+    # images of the unit disk stay within radius 0.5 + 0.4 = 0.9
     return HyperbolicSkewProduct(
-        base=doubling_map(),
-        fiber_space=FiberBall(np.zeros(1), radius),
-        fiber_map=AffineFiberFamily(contraction=contraction, translation=translation),
+        base=expanding_circle_map(degree),
+        fiber_space=FiberBall(np.zeros(2), radius),
+        fiber_map=AffineFiberFamily(contraction=contraction, offset=offset),
     )
 
 
@@ -55,11 +48,7 @@ def test_fiber_ball_geometry():
 
 def test_kappa_must_contract():
     with pytest.raises(ValueError):
-        HyperbolicSkewProduct(
-            base=doubling_map(),
-            fiber_space=FiberBall(np.zeros(1), 1.0),
-            fiber_map=AffineFiberFamily(contraction=1.0, translation=_const_translation),
-        )
+        _skew(contraction=1.0)
 
 
 def test_kappa_is_the_fiber_contraction_modulus():
@@ -73,10 +62,19 @@ def test_base_point_must_lie_in_ball():
     with pytest.raises(ValueError):
         HyperbolicSkewProduct(
             base=doubling_map(),
-            fiber_space=FiberBall(np.zeros(1), 1.0),
-            fiber_map=AffineFiberFamily(contraction=0.5, translation=_const_translation),
-            base_point=np.array([2.0]),
+            fiber_space=FiberBall(np.zeros(2), 1.0),
+            fiber_map=AffineFiberFamily(contraction=0.5, offset=0.3),
+            base_point=np.array([2.0, 0.0]),
         )
+
+
+def test_skew_needs_a_full_branch_circle_base_and_a_disk_fiber():
+    fam = AffineFiberFamily(contraction=0.5, offset=0.3)
+    with pytest.raises(NotFullBranch, match="three_branch"):
+        HyperbolicSkewProduct(three_branch_map(), FiberBall(np.zeros(2), 1.0), fam)
+    with pytest.raises(NotFullBranch, match="dimension 1"):
+        HyperbolicSkewProduct(doubling_map(), FiberBall(np.zeros(1), 1.0), fam)
+    assert HyperbolicSkewProduct(doubling_map(), FiberBall(np.zeros(2), 1.0), fam).degree == 2
 
 
 # -- axiom probes ------------------------------------------------------------
@@ -100,26 +98,31 @@ def test_invariance_overshoot_negative_when_strictly_inside():
 
 
 def test_eta_of_constants_is_one():
-    dis = Disintegration(_skew(), depth=8)
-    for x in (0.1, 0.3, 0.7):
-        assert dis.evaluate(x, _ones) == pytest.approx(1.0, abs=1e-12)
+    for degree in (2, 3):
+        dis = Disintegration(_skew(degree=degree), depth=8)
+        for x in (0.1, 0.3, 0.7):
+            assert dis.evaluate(x, _ones) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eta_constant_translation_closed_form():
-    # every leaf lands on sum_{j<d} kappa^j t + kappa^d origin
-    depth = 10
-    dis = Disintegration(_skew(translation=_const_translation), depth=depth)
-    expected = 0.3 * (1.0 - 0.5**depth) / 0.5
-    assert dis.evaluate(0.37, _coord) == pytest.approx(expected, abs=1e-12)
-    shifted = dis.evaluate(0.37, _coord, origin=np.array([0.8]))
-    assert shifted == pytest.approx(expected + 0.5**depth * 0.8, abs=1e-12)
+def test_eta_barycentre_is_the_transported_origin():
+    # each level's rotations sum to zero, so the mean fiber point is the
+    # origin pushed by contraction^depth alone
+    depth = 9
+    for degree in (2, 3):
+        dis = Disintegration(_skew(contraction=-0.5, degree=degree), depth=depth)
+        origin = np.array([0.8, -0.3])
+        for x in (0.37, 0.81):
+            assert dis.evaluate(x, _coord) == pytest.approx(0.0, abs=1e-12)
+            for axis in (0, 1):
+                got = dis.evaluate(x, lambda xs, zs: zs[..., axis], origin=origin)
+                assert got == pytest.approx((-0.5) ** depth * origin[axis], abs=1e-12)
 
 
 def test_origin_choice_washes_out_at_contraction_rate():
     depth = 6
     dis = Disintegration(_skew(), depth=depth)
-    a = dis.evaluate(0.37, _coord, origin=np.array([0.9]))
-    b = dis.evaluate(0.37, _coord, origin=np.array([-0.9]))
+    a = dis.evaluate(0.37, _coord, origin=np.array([0.9, 0.0]))
+    b = dis.evaluate(0.37, _coord, origin=np.array([-0.9, 0.0]))
     assert abs(a - b) <= 0.5**depth * 1.8 + 1e-12
 
 
@@ -134,44 +137,52 @@ def test_depth_overflow_affine_tree():
         dis.evaluate(0.3, _ones)
 
 
-def _counted_translation(points):
-    def translation(xs):
-        points.append(np.size(xs))
-        return _cos_translation(xs)
-
-    return translation
-
-
-def test_depth_overflow_names_the_first_level_over_budget():
-    # levels hold 2, 4, ..., 128 nodes: level 7 is the first above 100, and it
-    # is refused before any of its nodes is translated
+@pytest.fixture
+def translated(monkeypatch):
+    """Sizes of the arrays every fiber translation is asked for."""
     points = []
-    dis = Disintegration(_skew(translation=_counted_translation(points)), depth=9, node_budget=100)
-    with pytest.raises(DepthOverflow, match=r"^level 7 holds 128 nodes, budget 100$"):
-        dis.evaluate(0.3, _ones)
-    assert sum(points) == 2 + 4 + 8 + 16 + 32 + 64
+    plain = AffineFiberFamily.translation_at
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return plain(self, x)
+
+    monkeypatch.setattr(AffineFiberFamily, "translation_at", counted)
+    return points
 
 
-def test_one_evaluate_builds_one_tree():
-    # each tree node is translated once and the observable reads each leaf once
+def test_depth_overflow_names_the_first_level_over_budget(translated):
+    # levels hold d, d^2, ... nodes: the first above 100 is refused before
+    # any node of the tree is translated
+    for degree, message in [
+        (2, r"^level 7 holds 128 nodes, budget 100$"),
+        (3, r"^level 5 holds 243 nodes, budget 100$"),
+    ]:
+        dis = Disintegration(_skew(degree=degree), depth=9, node_budget=100)
+        with pytest.raises(DepthOverflow, match=message):
+            dis.evaluate(0.3, _ones)
+    assert translated == []
+
+
+def test_one_evaluate_builds_one_tree(translated):
+    # one translation of the depth phases x/d^k; the observable reads each leaf once
     depth = 8
-    points, leaves = [], []
+    leaves = []
 
     def coord(xs, zs):
         leaves.append(len(xs))
         return _coord(xs, zs)
 
-    dis = Disintegration(_skew(translation=_counted_translation(points)), depth=depth)
-    dis.evaluate(0.37, coord)
-    assert sum(points) == 2 ** (depth + 1) - 2
+    Disintegration(_skew(), depth=depth).evaluate(0.37, coord)
+    assert translated == [depth]
     assert leaves == [2**depth]
 
 
 def _chain_walk_leaves(skew, x, depth):
-    """(weight, fiber point) of every depth-n inverse-branch chain at x.
+    """(base point, weight, fiber point) of every depth-n inverse-branch chain at x.
 
     Walks one chain at a time and pushes the origin forward along it, an
-    independent route to the level-by-level arrays of Disintegration.
+    independent route to the closed-form levels of Disintegration.
     """
     leaves = []
     stack = [(x, 1.0, ())]
@@ -182,7 +193,7 @@ def _chain_walk_leaves(skew, x, depth):
             z = skew.base_point
             for y in (pt,) + tuple(reversed(chain))[:-1]:
                 z = skew.fiber_map(y, z)
-            leaves.append((w, z))
+            leaves.append((pt, w, z))
             continue
         for b in skew.base.branches:
             if float(b.image_lo) <= pt < float(b.image_hi):
@@ -191,33 +202,36 @@ def _chain_walk_leaves(skew, x, depth):
     return leaves
 
 
+def _digit_reversed(p, degree, depth):
+    j = 0
+    for _ in range(depth):
+        p, digit = divmod(p, degree)
+        j = j * degree + digit
+    return j
+
+
 def test_affine_and_generic_trees_agree():
-    # the vectorized tree and a chain-by-chain walk must produce the same measure
-    skew = _skew()
-    dis = Disintegration(skew, depth=6)
-    for x in (0.11, 0.52, 0.93):
-        leaves = _chain_walk_leaves(skew, x, 6)
-        assert len(leaves) == 2**6
-        walked = sum(w * float(z[0]) for w, z in leaves)
-        assert dis.evaluate(x, _coord) == pytest.approx(walked, abs=1e-12)
-
-
-def test_tree_over_non_full_branch_base_matches_chain_walk():
-    # three_branch's first image is [1/3, 1): points below 1/3 have two
-    # preimages and the rest three, so each level takes the masked path
-    skew = HyperbolicSkewProduct(
-        base=three_branch_map(),
-        fiber_space=FiberBall(np.zeros(1), 1.0),
-        fiber_map=AffineFiberFamily(contraction=0.5, translation=_cos_translation),
-    )
-    dis = Disintegration(skew, depth=6)
-    for x in (0.11, 0.52, 0.93):
-        leaves = _chain_walk_leaves(skew, x, 6)
-        _, ws, _ = dis._leaves(x, None)
-        assert len(ws) == len(leaves)
-        assert float(ws.sum()) == pytest.approx(sum(w for w, _ in leaves), abs=1e-12)
-        walked = sum(w * float(z[0]) for w, z in leaves)
-        assert dis.evaluate(x, _coord) == pytest.approx(walked, abs=1e-12)
+    # leaf p of the closed-form tree is the chain walk's leaf at
+    # (x + J)/d^depth, J the digit reversal of p, with the same weight and
+    # fiber point
+    for degree, depth in [(2, 6), (2, 8), (3, 6), (3, 7)]:
+        skew = _skew(degree=degree)
+        dis = Disintegration(skew, depth=depth)
+        n = degree**depth
+        for x in (0.11, 0.52, 0.93):
+            walked = {}
+            for y, w, z in _chain_walk_leaves(skew, x, depth):
+                walked[round(y * n - x)] = (w, z)
+            xs, ws, zs = dis.leaves(x)
+            assert len(walked) == len(ws) == n
+            assert np.all(xs == x)
+            for p in range(n):
+                w, z = walked[_digit_reversed(p, degree, depth)]
+                assert ws[p] == pytest.approx(w, rel=1e-14)
+                assert np.max(np.abs(zs[p] - z)) <= 1e-12
+            assert dis.evaluate(x, _coord) == pytest.approx(
+                sum(w * float(z[0]) for w, z in walked.values()), abs=1e-12
+            )
 
 
 def test_boundary_point_rejected():
@@ -243,4 +257,3 @@ def test_eta_integral_agrees_with_forward_sandwich():
     assert sw.gap == pytest.approx(0.5**depth * 2.0)
     slack = sw.gap / 2.0 + 5.0 * sw.stat_error + 0.01
     assert abs(integral - sw.midpoint) <= slack
-

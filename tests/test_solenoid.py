@@ -75,6 +75,34 @@ def test_skew_satisfies_probed_axioms():
     assert validate_invariance(skew, probes=200) < 0.0
 
 
+def _closure_translation(rho):
+    # the solenoid translation as a closure, before the fiber family held its offset
+    def translation(th):
+        angle = 2.0 * np.pi * np.asarray(th)
+        out = np.empty(np.shape(angle) + (2,))
+        np.cos(angle, out=out[..., 0])
+        np.sin(angle, out=out[..., 1])
+        np.multiply(rho, out, out=out)
+        return out
+
+    return translation
+
+
+def test_translation_keeps_the_closure_bytes():
+    # Monte Carlo pushes, sandwich estimates and attractor clouds read these bytes
+    model = build(2, Fraction(20), Fraction(1, 4), Fraction(1, 3))
+    fam = model.skew.fiber_map
+    old = _closure_translation(float(model.offset))
+    thetas = np.random.default_rng(11).random((257, 3))
+    for th in (thetas, 0.3712, np.float64(0.9)):
+        got, want = fam.translation_at(th), old(np.asarray(th, dtype=float))
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    z = np.random.default_rng(12).random((257, 3, 2))
+    want = float(model.kappa) * z + old(thetas)
+    assert fam(thetas, z).tobytes() == want.tobytes()
+
+
 def test_attractor_sample_respects_invariant_radius():
     model = build(2, 20.0, 0.25)
     theta, z = attractor_sample(model, 500, burn_in=5, seed=7)

@@ -121,6 +121,34 @@ def test_sample_invariant_respects_roof():
     assert np.all(us < susp.roof.value_many(xs))
 
 
+def test_sampler_pushes_only_accepted_fibers(monkeypatch):
+    # the constant roof accepts every proposal of the first batch, so exactly
+    # n fiber points are pushed fiber_depth steps each; the base orbit of the
+    # whole batch still decides acceptance
+    from mixlab.skew_product import AffineFiberFamily
+
+    pushed = []
+    plain = AffineFiberFamily.__call__
+
+    def counted(self, x, z):
+        pushed.append(np.size(x))
+        return plain(self, x, z)
+
+    monkeypatch.setattr(AffineFiberFamily, "__call__", counted)
+    susp = _solenoid_susp()
+    xs, zs, us = _sample_arrays(susp, np.random.default_rng(4), 10_000, fiber_depth=30)
+    assert sum(pushed) == 30 * 10_000
+    monkeypatch.undo()
+    # each fiber point is the disk center pushed along its own base orbit
+    y = np.random.default_rng(4).random(15_000)[:10_000]
+    z = np.zeros((10_000, 2))
+    for _ in range(30):
+        z = susp.skew.fiber_map(y, z)
+        y = susp.base_map.evaluate_many(y)
+    assert xs.tobytes() == y.tobytes()
+    assert zs.tobytes() == z.tobytes()
+
+
 def test_sampling_envelope_covers_a_narrow_bump():
     # a bump of height 1/2 and width 1/1000 on the roof 1: an envelope below
     # 3/2 would accept under the bump with probability 1, not r/roof_sup
