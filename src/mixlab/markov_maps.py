@@ -11,6 +11,7 @@ statistics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -136,6 +137,14 @@ class ExpandingMarkovMap:
         self.edges_f = np.array([float(e) for e in self.edges])
         self.slopes_f = np.array([float(b.slope) for b in self.branches])
         self.intercepts_f = np.array([float(b.intercept) for b in self.branches])
+        # the same edges as a list, bisected by scalar queries without numpy
+        self._edge_list = self.edges_f.tolist()
+        # per-branch (image_lo, image_hi, intercept, slope, 1/|slope|) for float points
+        self.branches_f = tuple(
+            (float(b.image_lo), float(b.image_hi), float(b.intercept), float(b.slope),
+             float(1 / abs(b.slope)))
+            for b in self.branches
+        )
         # largest float inside [domain_lo, domain_hi)
         self._top_f = math.nextafter(float(self.domain_hi), -math.inf)
 
@@ -155,7 +164,23 @@ class ExpandingMarkovMap:
         Inner partition edges raise BoundaryPoint under the default strict
         side so the caller decides; side="right" resolves them to the cell
         on the right, matching the half-open convention.
+
+        Every number type takes one float search first: float(x) is
+        bisected into the float edges, and rounding is monotone, so
+        float(x) strictly between two float edges puts x strictly inside
+        that exact cell.  Only a tie with a float edge (x = 1/2 on
+        doubling, float(1/3) on three_branch, a Fraction that rounds onto
+        an edge), or an x that float() cannot represent, is decided by
+        exact comparisons with the edges.
         """
+        try:
+            xf = float(x)
+        except OverflowError:
+            xf = math.nan
+        edges = self._edge_list
+        k = bisect_right(edges, xf) - 1
+        if 0 <= k < len(self.branches) and edges[k] < xf < edges[k + 1]:
+            return k
         if x < self.domain_lo or x >= self.domain_hi:
             raise BoundaryPoint(f"{x} outside domain [{self.domain_lo}, {self.domain_hi})")
         for k, b in enumerate(self.branches):

@@ -205,7 +205,13 @@ class Disintegration:
         return float(np.dot(ws, np.asarray(v(xs, zs), dtype=float)))
 
     def leaves(self, x, origin: np.ndarray | None = None):
-        """(base points, weights, fiber points) of the depth-n tree at x."""
+        """(base points, weights, fiber points) of the depth-n tree at x.
+
+        Every leaf sits over x, so the base points are a read-only
+        broadcast of x that len and np.shape see as d^depth long.  The
+        weights, each d^-depth, stay a filled array: np.dot over a
+        stride-0 view costs about what np.full would save.
+        """
         skew = self.skew
         start = skew.base_point if origin is None else np.asarray(origin, dtype=float)
         if not skew.fiber_space.contains(start):
@@ -231,7 +237,7 @@ class Disintegration:
             tree = child
             scale *= skew.fiber_map.contraction
         tree += scale * complex(*start)
-        return np.full(n, x), np.full(n, 1.0 / n), tree.view(float).reshape(n, 2)
+        return np.broadcast_to(x, (n,)), np.full(n, 1.0 / n), tree.view(float).reshape(n, 2)
 
     @cached_property
     def _roots(self) -> np.ndarray:

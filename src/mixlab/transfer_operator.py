@@ -36,21 +36,38 @@ POWER_CAP = 100_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def apply_exact(map_: ExpandingMarkovMap, v: Callable, x) -> float:
+def apply_exact(map_: ExpandingMarkovMap, v: Callable, x) -> Fraction | float:
     """(L v)(x) = sum over inverse branches h of J(h(x)) v(h(x)).
 
     The Jacobian weight J = 1/|f'| makes L the transfer operator of
     normalized Lebesgue measure.  Rational x, branch data and v keep the
-    result an exact Fraction.
+    result an exact Fraction, Fraction(0) where no branch covers x.
+
+    A float x reads the map's float branch table: each term is
+    w * v((x - c) / s) in floats, the very operations Python's mixed
+    float/Fraction arithmetic makes of the exact formula, and the result
+    is 0.0 where no branch covers x.  Rounding is monotone, so x strictly
+    between a branch's float image bounds lies in its exact image and x
+    strictly outside them lies outside; only x equal to a float image
+    bound is decided by the exact branch_covers.  Any other number type
+    takes the exact loop.
     """
     map_.cell_index(x)  # raises BoundaryPoint on partition edges
     total = None
+    if isinstance(x, float):
+        x = float(x)  # np.float64 included: the result is a Python float
+        for k, (lo, hi, c, s, w) in enumerate(map_.branches_f):
+            if not (lo < x < hi or (x == lo or x == hi) and map_.branch_covers(k, x)):
+                continue
+            term = w * v((x - c) / s)
+            total = term if total is None else total + term
+        return 0.0 if total is None else total
     for k, b in enumerate(map_.branches):
         if not map_.branch_covers(k, x):
             continue
         term = 1 / abs(b.slope) * v(b.inverse(x))
         total = term if total is None else total + term
-    return 0.0 if total is None else total
+    return Fraction(0) if total is None else total
 
 
 @dataclass(frozen=True)
@@ -392,7 +409,10 @@ def duality_check(
     Both integrals are against Lebesgue measure, the reference measure of
     apply_exact.  Panels never straddle partition edges, so the integrands
     are smooth per panel and 8-point Gauss-Legendre converges at full rate.
-    `g` and `v` are called on one float at a time.
+    `g` and `v` are called on one float at a time.  The right side calls
+    apply_exact once per node.  Nodes lie inside their panels, off the
+    float cell edges, so each takes apply_exact's float branch table and
+    cell_index's float search, and no float is converted to Fraction.
     """
 
     def lhs(xs):

@@ -1,5 +1,6 @@
 """Exact-path and property tests for the interval map layer."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,41 @@ def test_scalar_evaluate_clamps_float_images_below_domain_hi():
     # a Fraction image within 1e-29 of domain_hi stays exact
     y, k = three_branch_map().evaluate(Fraction(1, 3) - Fraction(1, 10**30))
     assert (y, k) == (1 - Fraction(2, 10**30), 0)
+
+
+def _exact_cell(m, x, side):
+    """Cell of x by exact comparison with m.edges; None where cell_index must raise."""
+    q = Fraction(x)
+    if not m.edges[0] <= q < m.edges[-1]:
+        return None
+    k = max(i for i in range(m.n_cells) if m.edges[i] <= q)
+    if side == "strict" and k > 0 and q == m.edges[k]:
+        return None
+    return k
+
+
+@pytest.mark.parametrize("m", [doubling_map(), three_branch_map(), expanding_circle_map(5)])
+def test_cell_index_float_search_matches_exact_edges(m, edge_probes):
+    for x in edge_probes(m):
+        for side in ("strict", "right"):
+            want = _exact_cell(m, x, side)
+            if want is None:
+                with pytest.raises(BoundaryPoint):
+                    m.cell_index(x, side=side)
+            else:
+                assert m.cell_index(x, side=side) == want, (x, side)
+
+
+def test_cell_index_ties_fall_back_to_exact_edges():
+    # float(1/3) lies below 1/3 and rounds onto its float edge
+    assert three_branch_map().cell_index(1 / 3) == 0
+    assert three_branch_map().cell_index(Fraction(1, 3) + Fraction(1, 2**80)) == 1
+    with pytest.raises(BoundaryPoint, match="partition boundary"):
+        doubling_map().cell_index(0.5)
+    assert doubling_map().cell_index(0.5, side="right") == 1
+    for x in (math.nan, math.inf, Fraction(10**400, 3), -1e-300):
+        with pytest.raises(BoundaryPoint):
+            doubling_map().cell_index(x)
 
 
 @given(st.integers(1, 2**20 - 1))

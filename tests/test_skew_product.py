@@ -223,8 +223,8 @@ def test_affine_and_generic_trees_agree():
             for y, w, z in _chain_walk_leaves(skew, x, depth):
                 walked[round(y * n - x)] = (w, z)
             xs, ws, zs = dis.leaves(x)
-            assert len(walked) == len(ws) == n
-            assert np.all(xs == x)
+            assert len(walked) == len(ws) == len(xs) == n
+            assert np.all(xs == x) and not xs.flags.writeable
             for p in range(n):
                 w, z = walked[_digit_reversed(p, degree, depth)]
                 assert ws[p] == pytest.approx(w, rel=1e-14)

@@ -61,6 +61,72 @@ def test_apply_exact_boundary_raises():
         apply_exact(doubling_map(), lambda y: 1.0, Fraction(1, 2))
 
 
+def _images_above_a_third():
+    # three cells, every branch image [1/3, 1): no branch covers [0, 1/3)
+    third = Fraction(1, 3)
+    return ExpandingMarkovMap(
+        branches=(
+            AffineBranch(Fraction(0), third, Fraction(2), third),
+            AffineBranch(third, 2 * third, Fraction(2), -third),
+            AffineBranch(2 * third, Fraction(1), Fraction(2), Fraction(-1)),
+        ),
+        transition_matrix=((0, 1, 1),) * 3,
+        expansion_bound=0.5,
+    )
+
+
+def test_apply_exact_uncovered_point_keeps_the_number_type():
+    m = _images_above_a_third()
+    out = apply_exact(m, lambda y: Fraction(1), Fraction(1, 10))
+    assert out == 0 and isinstance(out, Fraction)
+    out = apply_exact(m, lambda y: 1.0, 0.1)
+    assert out == 0 and isinstance(out, float)
+
+
+def _branch_loop(m, v, x):
+    """Reference: the exact branch-data loop, fed a float x."""
+    m.cell_index(x)
+    total = None
+    for b in m.branches:
+        if not b.image_lo <= x < b.image_hi:
+            continue
+        term = 1 / abs(b.slope) * v(b.inverse(x))
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+@pytest.mark.parametrize(
+    "m", [doubling_map(), three_branch_map(), expanding_circle_map(5), _images_above_a_third()]
+)
+def test_apply_exact_float_table_matches_the_branch_loop(m, edge_probes):
+    v = lambda y: math.cos(7.0 * y) - 0.25 * y  # noqa: E731
+    for x in edge_probes(m):
+        if not isinstance(x, float):
+            continue
+        try:
+            want = _branch_loop(m, v, x)
+        except BoundaryPoint:
+            with pytest.raises(BoundaryPoint):
+                apply_exact(m, v, x)
+            continue
+        got = apply_exact(m, v, x)
+        assert got == want and repr(got) == repr(want), x
+
+
+def test_duality_check_converts_no_float_to_fraction(monkeypatch):
+    # away from cell edges the float path compares floats only; every
+    # float/Fraction comparison calls from_float
+    def refuse(*args):
+        raise AssertionError("float converted to Fraction")
+
+    monkeypatch.setattr(Fraction, "from_float", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 3) < 0.5
+    g = lambda x: float(np.polynomial.polynomial.polyval(x, (0.3, -0.2, 0.5, 0.7)))  # noqa: E731
+    v = lambda x: float(np.polynomial.polynomial.polyval(x, (-0.4, 0.1, 0.9, -0.6)))  # noqa: E731
+    assert duality_check(three_branch_map(), g, v) <= 1e-6
+
+
 # -- Ulam assembly -----------------------------------------------------------
 
 
