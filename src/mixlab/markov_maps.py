@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -139,6 +140,8 @@ class ExpandingMarkovMap:
         self.intercepts_f = np.array([float(b.intercept) for b in self.branches])
         # the same edges as a list, bisected by scalar queries without numpy
         self._edge_list = self.edges_f.tolist()
+        # the inner edges, searched by array queries: outer points land in the end cells
+        self._inner_edges_f = self.edges_f[1:-1]
         # per-branch (image_lo, image_hi, intercept, slope, 1/|slope|) for float points
         self.branches_f = tuple(
             (float(b.image_lo), float(b.image_hi), float(b.intercept), float(b.slope),
@@ -210,7 +213,7 @@ class ExpandingMarkovMap:
         like x -> 6x mod 1, a float fixed point that every later step keeps.
         """
         x = np.asarray(x, dtype=float)
-        k = np.clip(np.searchsorted(self.edges_f, x, side="right") - 1, 0, self.n_cells - 1)
+        k = np.searchsorted(self._inner_edges_f, x, side="right")
         return np.minimum(self.slopes_f[k] * x + self.intercepts_f[k], self._top_f)
 
     def image_cells(self, k: int) -> tuple[int, ...]:
@@ -431,13 +434,31 @@ class InducedMap:
     def max_return_time(self) -> int:
         return max(b.return_time for b in self.branches)
 
+    @cached_property
+    def _tail_sums(self) -> list[Fraction]:
+        """Unnormalised m(R >= n) for n = 0..max_return_time.
+
+        Branch measures are binned by return time in one pass, then summed
+        from the deepest bin up; Fraction sums are exact in any order.
+        """
+        bins = [Fraction(0)] * (self.max_return_time + 1)
+        for b in self.branches:
+            bins[b.return_time] += b.measure
+        for n in range(len(bins) - 2, -1, -1):
+            bins[n] += bins[n + 1]
+        return bins
+
+    def _tail(self, n: int) -> Fraction:
+        """m(R >= n) normalised to the base cell, residual mass included."""
+        sums = self._tail_sums
+        cell = self.base.branches[self.base_cell]
+        mass = sums[n] if n < len(sums) else Fraction(0)
+        return mass / (cell.hi - cell.lo) + self.residual_mass
+
     @property
     def excursion_mass(self) -> Fraction:
         """Exact m(R >= 2): enumerated deep-branch mass plus the residual."""
-        cell = self.base.branches[self.base_cell]
-        total = cell.hi - cell.lo
-        deep = sum((b.measure for b in self.branches if b.return_time >= 2), Fraction(0))
-        return deep / total + self.residual_mass
+        return self._tail(2)
 
     def tail_masses(self):
         """m(R >= n) for n = 1..depth_cap, normalised to the base cell.
@@ -445,13 +466,7 @@ class InducedMap:
         Exact Fractions; the residual mass beyond the cap sits in every
         level's tail, so m(R >= n) = residual + sum of deeper cell masses.
         """
-        cell = self.base.branches[self.base_cell]
-        total = cell.hi - cell.lo
-        out = []
-        for n in range(1, self.depth_cap + 1):
-            mass = sum((b.measure for b in self.branches if b.return_time >= n), Fraction(0))
-            out.append(mass / total + self.residual_mass)
-        return out
+        return [self._tail(n) for n in range(1, self.depth_cap + 1)]
 
 
 @dataclass(frozen=True)

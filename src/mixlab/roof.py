@@ -351,7 +351,8 @@ def witness_search(
     were cohomologous to a function constant on partition cells, so any
     gap above the threshold is a witness against that.  The first period
     with a gap wins; within it the largest gap, ties broken by smallest
-    itinerary pair.
+    itinerary pair.  Groups whose sums span no more than the threshold
+    are skipped before any pair is compared.
     """
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
@@ -380,6 +381,11 @@ def witness_search(
         best = None
         for members in groups.values():
             if len(members) < 2:
+                continue
+            # a group whose sums span no more than the threshold has no pair
+            # above it; rounding is monotone, so this holds for floats too
+            sums = [s for _, _, s in members]
+            if max(sums) - min(sums) <= threshold:
                 continue
             members.sort(key=lambda t: t[0])
             for (w1, x1, s1), (w2, x2, s2) in itertools.combinations(members, 2):

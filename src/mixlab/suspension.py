@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Sequence
@@ -55,6 +55,8 @@ class SuspensionSemiflow:
     mean_roof: float
     roof_sup: float
     base_density: InvariantDensity | None = None
+    # temporal_distance's backward roof sums, keyed by (exact, point, past)
+    _backward_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def skew(self) -> HyperbolicSkewProduct | None:
@@ -450,14 +452,24 @@ def temporal_distance(
     (`past`, most recent branch first, defaulting to branch 0 throughout)
     and the roof differences are accumulated:
 
-        sum_{k=1}^{depth} [ r(H_k y) - r(H_k x) ],  H_k the k-step pull.
+        sum_{k=1}^{depth} [ r(H_k y) - r(H_k x) ] = B(y) - B(x),
+
+    with H_k the k-step pull and B(p) = sum_{k=1}^{depth} r(H_k p) one
+    point's backward roof sum along the chain.  The regrouping is exact
+    in Fraction arithmetic; on the float path (an inexact roof or a float
+    point) the difference of the two sums may round differently in its
+    last bits from the sum of differences.  B is memoised on the
+    suspension under the key (exact, point, past), so an n x n grid pulls
+    back n points; the memo lives and dies with the suspension, and a
+    float point never reads an exact entry.
 
     Forward-orbit terms cancel exactly because the bracket point shares
     the future coding whose roof values it is compared against, so only
     the backward sums carry content.  The functional vanishes identically
     when the roof is constant on partition cells.  Inadmissible pulls
-    raise BracketUndefined.  The truncation bound uses the roof branch
-    constant and the expansion bound.
+    raise BracketUndefined (x's chain is checked first) and store
+    nothing.  The truncation bound uses the roof branch constant and the
+    expansion bound.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -477,21 +489,8 @@ def temporal_distance(
     )
     px = Fraction(x) if exact else float(x)
     py = Fraction(y) if exact else float(y)
-    total = Fraction(0) if exact else 0.0
-
-    for k in chain:
-        for p in (px, py):
-            try:
-                cell = bm.cell_index(p)
-            except BoundaryPoint as exc:
-                raise BracketUndefined(f"pullback hit a partition boundary at {float(p)!r}") from exc
-            if not bm.admissible(k, cell):
-                raise BracketUndefined(
-                    f"past symbol {k} cannot precede cell {cell}; no inverse branch applies"
-                )
-        px = bm.branches[k].inverse(px)
-        py = bm.branches[k].inverse(py)
-        total += susp.roof.value(py) - susp.roof.value(px)
+    bx = _backward_sum(susp, exact, px, chain)
+    total = _backward_sum(susp, exact, py, chain) - bx
 
     # |r(H_k y) - r(H_k x)| <= K lam^(k-1) |y - x| with lam the inverse-branch
     # contraction bound, so the dropped tail is K |y-x| lam^depth / (1 - lam)
@@ -500,6 +499,30 @@ def temporal_distance(
         float(susp.roof.branch_lipschitz) * abs(float(y) - float(x)) * lam**depth / (1.0 - lam)
     )
     return TemporalDistance(total if exact else float(total), bound, depth, chain)
+
+
+def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, chain: tuple[int, ...]):
+    """B(p) = sum of r(H_k p) over the chain's pulls, memoised on the suspension."""
+    key = (exact, p, chain)
+    hit = susp._backward_sums.get(key)
+    if hit is not None:
+        return hit
+    bm = susp.base_map
+    value = susp.roof.value
+    total = Fraction(0) if exact else 0.0
+    for k in chain:
+        try:
+            cell = bm.cell_index(p)
+        except BoundaryPoint as exc:
+            raise BracketUndefined(f"pullback hit a partition boundary at {float(p)!r}") from exc
+        if not bm.admissible(k, cell):
+            raise BracketUndefined(
+                f"past symbol {k} cannot precede cell {cell}; no inverse branch applies"
+            )
+        p = bm.branches[k].inverse(p)
+        total += value(p)
+    susp._backward_sums[key] = total
+    return total
 
 
 # ---------------------------------------------------------------------------

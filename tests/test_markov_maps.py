@@ -69,6 +69,23 @@ def test_evaluate_many_stays_below_domain_hi():
     assert m.evaluate_many(y)[0] < 1.0
 
 
+@pytest.mark.parametrize(
+    "m", [doubling_map(), three_branch_map(), expanding_circle_map(3), expanding_circle_map(5)]
+)
+def test_evaluate_many_cell_search_matches_clipped_edge_search(m):
+    # the inner-edge search against the former clip of a search over all edges
+    edges = m.edges_f
+    probes = [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+              np.random.default_rng(3).uniform(-0.2, 1.2, 100_000),
+              np.array([np.inf, -np.inf, np.nan, -0.0])]
+    x = np.concatenate(probes)
+    old_k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.n_cells - 1)
+    assert np.array_equal(np.searchsorted(edges[1:-1], x, side="right"), old_k)
+    top = math.nextafter(float(m.domain_hi), -math.inf)
+    old = np.minimum(m.slopes_f[old_k] * x + m.intercepts_f[old_k], top)
+    assert m.evaluate_many(x).tobytes() == old.tobytes()
+
+
 def test_scalar_evaluate_clamps_float_images_below_domain_hi():
     # both floats sit just below an inner edge whose branch sends the edge
     # to domain_hi, and the image rounds up onto it
@@ -247,6 +264,28 @@ def test_doubling_first_return_tails_are_dyadic():
         assert tails[n - 1] == HALF ** (n - 1)
     stats = tail_statistics(induced)
     assert stats.alpha == pytest.approx(np.log(2.0), rel=0.05)
+
+
+def _resummed_tails(induced):
+    """Per-level oracle: m(R >= n) re-summed over every branch at each level."""
+    cell = induced.base.branches[induced.base_cell]
+    total = cell.hi - cell.lo
+    return [
+        sum((b.measure for b in induced.branches if b.return_time >= n), Fraction(0)) / total
+        + induced.residual_mass
+        for n in range(1, induced.depth_cap + 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, cell, cap", [(three_branch_map(), 0, 12), (three_branch_map(), 1, 8), (doubling_map(), 0, 10)]
+)
+def test_tail_masses_match_per_level_resumming(m, cell, cap):
+    induced = m.induce_first_return(cell, depth_cap=cap)
+    want = _resummed_tails(induced)
+    assert induced.tail_masses() == want[:cap]
+    assert induced.excursion_mass == want[1] == induced.tail_masses()[1]
+    assert all(isinstance(t, Fraction) for t in induced.tail_masses())
 
 
 def test_first_return_branches_compose_the_path():

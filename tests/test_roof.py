@@ -13,6 +13,9 @@ from mixlab.errors import InadmissibleItinerary, InvalidRoof, ProtectedOrbitHit
 from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import (
     ENCLOSURE_RTOL,
+    WITNESS_THRESHOLD,
+    CohomologyReport,
+    Witness,
     birkhoff_sum,
     certify_coboundary,
     constant_roof,
@@ -112,6 +115,75 @@ def test_witness_csv_carries_tolerance_column():
     assert "4/45" in lines[1]
 
 
+def _all_pairs_witness(roof, max_period, threshold=WITNESS_THRESHOLD):
+    """All-pairs oracle: every two closed orbits of period p with equal visit
+    counts are compared; the largest gap wins, ties to the smallest words."""
+    m = roof.base
+    laps = {}
+    for q in range(1, max_period + 1):
+        laps[q] = []
+        for word in _rotation_set_classes(m, q):
+            orbit = m.periodic_orbit(word)
+            if orbit is not None:
+                laps[q].append((word, orbit[0], sum(roof.value(x) for x in orbit)))
+    for p in range(2, max_period + 1):
+        orbits = sorted(
+            (word * (p // q), x0, lap * (p // q))
+            for q in range(1, p + 1) if p % q == 0 for word, x0, lap in laps[q]
+        )
+        cands = [
+            (abs(s1 - s2), w1, w2, x1, x2, s1, s2)
+            for (w1, x1, s1), (w2, x2, s2) in itertools.combinations(orbits, 2)
+            if all(w1.count(c) == w2.count(c) for c in range(m.n_cells))
+            and abs(s1 - s2) > threshold
+        ]
+        if cands:
+            _, w1, w2, x1, x2, s1, s2 = min(cands, key=lambda c: (-c[0], c[1], c[2]))
+            return CohomologyReport(Witness(w1, w2, x1, x2, s1, s2), p, "WitnessFound")
+    return CohomologyReport(None, max_period, "NoWitnessUpToPeriod")
+
+
+@pytest.mark.parametrize(
+    "roof, max_period, found",
+    [
+        (xsq_roof(), 4, True),
+        (polynomial_roof(doubling_map(), (1.0, 0.0, 1.0)), 4, True),
+        (polynomial_roof(doubling_map(), (Fraction(1), Fraction(1))), 12, False),
+        (constant_roof(three_branch_map(), Fraction(3, 2)), 6, False),
+    ],
+    ids=["one_plus_x_squared", "float_one_plus_x_squared", "one_plus_x", "constant_three_branch"],
+)
+def test_witness_search_matches_all_pairs_oracle(roof, max_period, found):
+    report = witness_search(roof, max_period)
+    assert report == _all_pairs_witness(roof, max_period)
+    assert report.found == found
+    if report.found and roof.exact:
+        assert report.witness.gap == GAP
+
+
+@given(
+    st.lists(
+        st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=16), min_size=1, max_size=3),
+        min_size=3,
+        max_size=3,
+    )
+)
+@settings(max_examples=15, deadline=None)
+def test_witness_search_matches_all_pairs_oracle_on_random_roofs(tails):
+    roof = per_branch_polynomial_roof(three_branch_map(), [[Fraction(4)] + t for t in tails])
+    assert witness_search(roof, 4) == _all_pairs_witness(roof, 4)
+
+
+def test_group_spread_equal_to_threshold_gives_no_witness():
+    # at period 4 the only same-visit group of 1 + x^2 is {0011, 0101}, spread 4/45
+    roof = xsq_roof()
+    assert witness_search(roof, 4, threshold=GAP).verdict == "NoWitnessUpToPeriod"
+    assert _all_pairs_witness(roof, 4, threshold=GAP).verdict == "NoWitnessUpToPeriod"
+    below = GAP - Fraction(1, 10**30)
+    assert witness_search(roof, 4, threshold=below) == _all_pairs_witness(roof, 4, threshold=below)
+    assert witness_search(roof, 4, threshold=below).witness.gap == GAP
+
+
 # ---------------------------------------------------------------------------
 # coboundary certificates
 
@@ -153,6 +225,7 @@ def test_coboundaries_never_produce_witnesses(a, b):
     assert certify_coboundary(roof, gamma, probes=300) <= 1e-10
     report = witness_search(roof, max_period=5, threshold=1e-10)
     assert report.verdict == "NoWitnessUpToPeriod"
+    assert report == _all_pairs_witness(roof, 5, threshold=1e-10)
 
 
 def test_certificate_rejects_wrong_transfer_term():

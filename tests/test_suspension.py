@@ -14,7 +14,7 @@ from mixlab.markov_maps import (
     expanding_circle_map,
     three_branch_map,
 )
-from mixlab.roof import constant_roof, perturb_bump, polynomial_roof
+from mixlab.roof import constant_roof, per_branch_polynomial_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
     CorrelationSeries,
@@ -348,6 +348,115 @@ def test_temporal_distance_validates_arguments():
         temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), 3, past=(0, 1))
     with pytest.raises(ValueError):
         temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), 1, past=(7,))
+
+
+def _pairwise_td(susp, x, y, depth, past=None):
+    """Step-by-step oracle: pull both points back together, summing differences."""
+    bm, roof = susp.base_map, susp.roof
+    chain = tuple(past[:depth]) if past is not None else (0,) * depth
+    exact = roof.exact and isinstance(x, Fraction) and isinstance(y, Fraction)
+    px, py = (Fraction(x), Fraction(y)) if exact else (float(x), float(y))
+    total = Fraction(0) if exact else 0.0
+    for k in chain:
+        for p in (px, py):
+            try:
+                cell = bm.cell_index(p)
+            except BoundaryPoint as exc:
+                raise BracketUndefined("boundary") from exc
+            if not bm.admissible(k, cell):
+                raise BracketUndefined("inadmissible")
+        px, py = bm.branches[k].inverse(px), bm.branches[k].inverse(py)
+        total += roof.value(py) - roof.value(px)
+    return total
+
+
+def _grid(g):
+    return [Fraction(2 * i + 1, 2 * g) for i in range(g)]
+
+
+@pytest.mark.parametrize(
+    "roof",
+    [
+        polynomial_roof(doubling_map(), (1, 0, 1)),
+        per_branch_polynomial_roof(doubling_map(), [(1,), (Fraction(3, 2),)]),
+    ],
+    ids=["one_plus_x_squared", "per_branch"],
+)
+def test_temporal_distance_matches_pairwise_oracle_on_grid(roof):
+    susp = suspend(roof.base, roof)
+    for x in _grid(16):
+        for y in _grid(16):
+            td = temporal_distance(susp, x, y, 30)
+            assert isinstance(td.value, Fraction)
+            assert td.value == _pairwise_td(susp, x, y, 30)
+
+
+def test_temporal_distance_matches_pairwise_oracle_on_mixed_past():
+    # symbol 0's image misses cell 0, so points in cell 0 cannot take it first
+    base = three_branch_map()
+    susp = suspend(base, polynomial_roof(base, (1, Fraction(1, 2), 1)))
+    past = (0, 1, 2, 0, 2, 1, 1, 0, 1, 2, 0, 2)
+    answered = refused = 0
+    for x in _grid(12):
+        for y in _grid(12):
+            try:
+                want = _pairwise_td(susp, x, y, 12, past)
+            except BracketUndefined:
+                with pytest.raises(BracketUndefined):
+                    temporal_distance(susp, x, y, 12, past=past)
+                refused += 1
+            else:
+                assert temporal_distance(susp, x, y, 12, past=past).value == want
+                answered += 1
+    assert answered > 0 and refused > 0
+
+
+def _counting(roof):
+    seen = []
+
+    def value(x):
+        seen.append(type(x))
+        return roof.value(x)
+
+    return replace(roof, value=value), seen
+
+
+def test_temporal_distance_pulls_back_each_grid_point_once():
+    roof, seen = _counting(polynomial_roof(doubling_map(), (1, 0, 1)))
+    susp = suspend(roof.base, roof)
+    g, depth = 6, 7
+    for x in _grid(g):
+        for y in _grid(g):
+            temporal_distance(susp, x, y, depth)
+    assert len(seen) == g * depth
+
+
+def test_temporal_distance_keeps_float_points_off_exact_sums():
+    roof, seen = _counting(polynomial_roof(doubling_map(), (1, 0, 1)))
+    susp = suspend(roof.base, roof)
+    exact = temporal_distance(susp, Fraction(1, 32), Fraction(3, 32), 10)
+    assert isinstance(exact.value, Fraction) and set(seen) == {Fraction}
+    del seen[:]
+    # 0.03125 == Fraction(1, 32) and hashes alike, yet it is pulled back again
+    floats = temporal_distance(susp, 0.03125, 0.09375, 10)
+    assert isinstance(floats.value, float)
+    assert len(seen) == 20 and set(seen) == {float}
+    assert floats.value == pytest.approx(float(_pairwise_td(susp, 0.03125, 0.09375, 10)), abs=1e-14)
+    assert floats.value == pytest.approx(float(exact.value), abs=1e-14)
+
+
+def test_temporal_distance_inadmissible_chain_stores_nothing():
+    base = three_branch_map()
+    susp = suspend(base, polynomial_roof(base, (1, 0, 1)))
+    x, y = Fraction(1, 10), Fraction(1, 5)  # both in cell 0, which symbol 0 cannot precede
+    for _ in range(2):
+        with pytest.raises(BracketUndefined):
+            temporal_distance(susp, x, y, 1, past=(0,))
+    assert susp._backward_sums == {}
+    # an admissible first point keeps its sum; the refused one leaves none
+    with pytest.raises(BracketUndefined):
+        temporal_distance(susp, Fraction(1, 2), y, 1, past=(0,))
+    assert [key[1] for key in susp._backward_sums] == [Fraction(1, 2)]
 
 
 # -- observables and plots -------------------------------------------------------
