@@ -15,6 +15,7 @@ from .errors import (
     DepthOverflow,
     GeometryViolation,
     InadmissibleItinerary,
+    InexactBranch,
     InsufficientDepth,
     InvalidRoof,
     MixlabError,
@@ -40,7 +41,6 @@ from .roof import (
     CohomologyReport,
     RoofFunction,
     Witness,
-    birkhoff_sum,
     certify_coboundary,
     constant_roof,
     cosine_roof,

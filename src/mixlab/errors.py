@@ -5,6 +5,10 @@ class MixlabError(Exception):
     """Base class for all mixlab errors."""
 
 
+class InexactBranch(MixlabError):
+    """Branch data that is not rational: the exact path has no integer triple for it."""
+
+
 class BoundaryPoint(MixlabError):
     """Evaluation requested exactly on a partition boundary."""
 

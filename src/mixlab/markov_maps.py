@@ -2,10 +2,13 @@
 
 A map is a finite ordered list of affine branches, one per partition cell;
 each branch sends its half-open cell onto a contiguous union of cells
-recorded in a 0/1 transition matrix.  Rational branch data give an exact
-arithmetic path (`fractions.Fraction` in, Fraction out), which the
-cohomology and inducing machinery rely on, and a vectorised float path for
-statistics.
+recorded in a 0/1 transition matrix.  Branch data must be rational.  They
+give an exact arithmetic path (`fractions.Fraction` in, Fraction out),
+which the cohomology and inducing machinery rely on, and a vectorised float
+path for statistics.  On the exact path periodic points, periodic orbits
+and first-return branches compose the branches as integer triples
+(alpha, beta, gamma), y -> (alpha*y + beta)/gamma, and build a Fraction
+only for what they return.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 from .errors import (
     BoundaryPoint,
     InadmissibleItinerary,
+    InexactBranch,
     InsufficientDepth,
     NoReturn,
 )
@@ -40,19 +45,40 @@ def low_discrepancy(n: int, lo: float = 0.0, hi: float = 1.0, phase: float = 0.0
     return lo + (hi - lo) * u
 
 
+def _triple(slope: Fraction, intercept: Fraction) -> tuple[int, int, int]:
+    """(alpha, beta, gamma) with y -> (alpha*y + beta)/gamma = slope*y + intercept, gamma > 0."""
+    gamma = math.lcm(slope.denominator, intercept.denominator)
+    return (
+        slope.numerator * (gamma // slope.denominator),
+        intercept.numerator * (gamma // intercept.denominator),
+        gamma,
+    )
+
+
 @dataclass(frozen=True)
 class AffineBranch:
-    """One full branch x -> slope*x + intercept on the cell [lo, hi)."""
+    """One full branch x -> slope*x + intercept on the cell [lo, hi).
+
+    The data must be rational (InexactBranch otherwise).  The forward map
+    and its inverse are also kept as integer triples (alpha, beta, gamma),
+    meaning y -> (alpha*y + beta)/gamma with gamma > 0, which the exact
+    path composes without building intermediate Fractions.
+    """
 
     lo: Fraction
     hi: Fraction
     slope: Fraction
     intercept: Fraction
-    # image of the cell, computed once from the fields above
+    # image of the cell and the integer triples, computed once from the fields above
     image_lo: Fraction = field(init=False, repr=False, compare=False)
     image_hi: Fraction = field(init=False, repr=False, compare=False)
+    forward_triple: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    inverse_triple: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        data = (self.lo, self.hi, self.slope, self.intercept)
+        if not all(isinstance(v, Rational) for v in data):
+            raise InexactBranch(f"branch data must be rational, got {data!r}")
         if self.hi <= self.lo:
             raise ValueError("branch cell is empty")
         if self.slope == 0:
@@ -60,6 +86,9 @@ class AffineBranch:
         a, b = self.forward(self.lo), self.forward(self.hi)
         object.__setattr__(self, "image_lo", min(a, b))
         object.__setattr__(self, "image_hi", max(a, b))
+        s, c = Fraction(self.slope), Fraction(self.intercept)
+        object.__setattr__(self, "forward_triple", _triple(s, c))
+        object.__setattr__(self, "inverse_triple", _triple(1 / s, -c / s))
 
     def forward(self, x):
         return self.slope * x + self.intercept
@@ -150,6 +179,11 @@ class ExpandingMarkovMap:
         )
         # largest float inside [domain_lo, domain_hi)
         self._top_f = math.nextafter(float(self.domain_hi), -math.inf)
+        # per-cell (lo numerator, lo denominator, hi numerator, hi denominator)
+        self._cells_q = tuple(
+            (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            for lo, hi in ((Fraction(b.lo), Fraction(b.hi)) for b in self.branches)
+        )
 
     # -- basic queries ---------------------------------------------------
 
@@ -276,48 +310,53 @@ class ExpandingMarkovMap:
 
     def check_itinerary(self, itinerary: Sequence[int]) -> None:
         """Raise InadmissibleItinerary unless the cyclic word is admissible."""
-        n = len(itinerary)
-        if n == 0:
+        if len(itinerary) == 0:
             raise InadmissibleItinerary("empty itinerary")
+        n_cells = len(self.branches)
         for idx in itinerary:
-            if not 0 <= idx < self.n_cells:
+            if not 0 <= idx < n_cells:
                 raise InadmissibleItinerary(f"cell index {idx} out of range")
-        for j in range(n):
-            a, b = itinerary[j], itinerary[(j + 1) % n]
-            if not self.admissible(a, b):
+        transition = self.transition
+        for a, b in zip(itinerary, [*itinerary[1:], itinerary[0]]):
+            if not transition[a][b]:
                 raise InadmissibleItinerary(f"transition {a}->{b} forbidden")
 
     def periodic_points(self, itinerary: Sequence[int]):
         """Point x with f^n(x) = x realising the given cyclic itinerary.
 
-        Exact (Fraction): the composed inverse branch is affine and its
-        fixed point solves a linear equation.
+        Exact (Fraction): the inverse branches compose, innermost first,
+        as one integer triple y -> (A*y + B)/C, and the fixed point of that
+        contraction is B / (C - A).
         """
         self.check_itinerary(itinerary)
-        # compose inverse branches innermost-first: h = h_{k_0} o ... o
-        # h_{k_{n-1}} is affine y -> a*y + c, and |a| < 1 forces a unique
-        # fixed point c / (1 - a)
-        a, c = Fraction(1), Fraction(0)
+        # h = h_{k_0} o ... o h_{k_{n-1}}: prepend each inverse (a, b, c)
+        # as h -> (a*h + b)/c
+        A, B, C = 1, 0, 1
         for k in reversed(itinerary):
-            b = self.branches[k]
-            a, c = a / b.slope, (c - b.intercept) / b.slope
-        return c / (1 - a)
+            a, b, c = self.branches[k].inverse_triple
+            A, B, C = a * A, a * B + b * C, c * C
+        return Fraction(B, C - A)
 
     def periodic_orbit(self, itinerary: Sequence[int]):
         """Orbit points (x, f x, ..., f^{n-1} x) for a periodic itinerary.
 
         Returns None if the orbit touches a cell boundary (the coding is
-        then not realised by an interior point).
+        then not realised by an interior point).  The orbit is walked on
+        integer numerator and denominator pairs; cell bounds are compared
+        by cross-multiplication (every denominator is positive).
         """
         x = self.periodic_points(itinerary)
+        p, q = x.numerator, x.denominator
         orbit = []
-        y = x
         for k in itinerary:
-            b = self.branches[k]
-            if not (b.lo < y < b.hi) and not (y == b.lo == self.domain_lo):
+            lo_n, lo_d, hi_n, hi_d = self._cells_q[k]
+            inside = lo_n * q < p * lo_d and p * hi_d < hi_n * q
+            # only cell 0 starts at domain_lo, which belongs to the domain
+            if not inside and not (k == 0 and p * lo_d == lo_n * q):
                 return None
-            orbit.append(y)
-            y = b.forward(y)
+            orbit.append(Fraction(p, q))
+            a, b, c = self.branches[k].forward_triple
+            p, q = a * p + b * q, c * q
         return orbit
 
     # -- first-return inducing ----------------------------------------------
@@ -326,7 +365,9 @@ class ExpandingMarkovMap:
         """First-return map to a partition cell, enumerated to R <= depth_cap.
 
         The countable branch family is materialised only up to the cap; the
-        dropped mass m({R > depth_cap}) is reported on the result.
+        dropped mass m({R > depth_cap}) is reported on the result.  Each
+        excursion path composes its inverse branches as an integer triple,
+        and a branch's four Fractions are built only where the path returns.
         """
         if not 0 <= base_cell < self.n_cells:
             raise ValueError("base_cell out of range")
@@ -335,47 +376,56 @@ class ExpandingMarkovMap:
         if not _recurrent(self.transition, base_cell):
             raise NoReturn(f"cell {base_cell} is not recurrent under the transition matrix")
 
-        base = self.branches[base_cell]
-        cell_lo, cell_hi = base.lo, base.hi
-        cell_len = cell_hi - cell_lo
+        lo_n, lo_d, hi_n, hi_d = self._cells_q[base_cell]
+        inverses = [b.inverse_triple for b in self.branches]
+        cells = range(self.n_cells)
+        returns = [self.admissible(k, base_cell) for k in cells]
+        # excursion steps out of each cell, reversed so pops see them in order
+        steps = [
+            [j for j in reversed(cells) if j != base_cell and self.admissible(k, j)] for k in cells
+        ]
         branches: list[InducedBranch] = []
-
-        def extend(a, c, b: AffineBranch):
-            # y -> a*y + c followed innermost by b's inverse y -> (y - intercept) / slope
-            return a / b.slope, c - a * b.intercept / b.slope
+        # enumerated mass over the cell's length, the sum of |A|/C, as num/den
+        num, den = 0, 1
 
         # DFS over admissible excursion paths (c_0=base, c_1, .., c_{R-1}),
         # each carrying its composed inverse H = h_{c_0} o ... o h_{c_{R-1}}
-        # as y -> a*y + c.  H maps the base cell onto the path's cylinder,
-        # and f^R on that cylinder is H's inverse x -> (x - c) / a.
-        stack = [((base_cell,), *extend(Fraction(1), Fraction(0), base))]
+        # as the integer triple y -> (A*y + B)/C, C > 0.  H maps the base
+        # cell onto the path's cylinder, and f^R on that cylinder is H's
+        # inverse x -> (C*x - B)/A.
+        stack = [((base_cell,), *inverses[base_cell])]
         while stack:
-            path, a, c = stack.pop()
+            path, A, B, C = stack.pop()
             last = path[-1]
             depth = len(path)
-            if self.admissible(last, base_cell):
-                lo, hi = sorted((a * cell_lo + c, a * cell_hi + c))
+            if returns[last]:
+                u = Fraction(A * lo_n + B * lo_d, C * lo_d)
+                v = Fraction(A * hi_n + B * hi_d, C * hi_d)
+                lo, hi = (u, v) if A > 0 else (v, u)
                 branches.append(
                     InducedBranch(
                         itinerary=path,
                         return_time=depth,
                         lo=lo,
                         hi=hi,
-                        slope=1 / a,
-                        intercept=-c / a,
+                        slope=Fraction(C, A),
+                        intercept=Fraction(-B, A),
                     )
                 )
+                lcm = math.lcm(den, C)
+                num, den = num * (lcm // den) + abs(A) * (lcm // C), lcm
             if depth < depth_cap:
-                # push in reverse so pops see branch indices in order
-                for j in reversed(range(self.n_cells)):
-                    if j != base_cell and self.admissible(last, j):
-                        stack.append((path + (j,), *extend(a, c, self.branches[j])))
+                for j in steps[last]:
+                    # compose inside: H o h_j
+                    a, b, c = inverses[j]
+                    stack.append((path + (j,), A * a, A * b + B * c, C * c))
 
         if not branches:
             raise NoReturn(f"no return path to cell {base_cell} within depth {depth_cap}")
-        branches.sort(key=lambda b: (b.return_time, b.lo))
-        enumerated = sum(b.hi - b.lo for b in branches)
-        residual = (cell_len - enumerated) / cell_len
+        # rounding is monotone, so the float key orders as lo does; lo breaks ties
+        branches.sort(key=lambda b: (b.return_time, float(b.lo), b.lo))
+        # |H(hi) - H(lo)| = |A|/C times the cell's length
+        residual = 1 - Fraction(num, den)
         return InducedMap(
             base=self,
             base_cell=base_cell,

@@ -1,14 +1,14 @@
 """Roof functions over expanding Markov maps.
 
 A roof assigns a positive flow time to each base point.  The module
-provides Birkhoff sums along orbits, a periodic-orbit witness search that
-detects when the roof is not cohomologous to any function constant on
-partition cells, certification of explicit coboundary representations, and
-a compactly supported bump perturbation used to force a witness.
+provides a periodic-orbit witness search that detects when the roof is not
+cohomologous to any function constant on partition cells, certification of
+explicit coboundary representations, and a compactly supported bump
+perturbation used to force a witness.
 
 Roofs built from rational polynomial data evaluate exactly on Fraction
-inputs, and the witness search then reports exact rational gaps.  Verdicts
-never hinge on float roundoff for such roofs.
+inputs, by Horner's rule in integers, and the witness search then reports
+exact rational gaps.  Verdicts never hinge on float roundoff for such roofs.
 """
 
 from __future__ import annotations
@@ -71,6 +71,33 @@ def _horner(coeffs: Sequence, x):
     for c in reversed(coeffs):
         acc = c if acc is None else acc * x + c
     return acc
+
+
+def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
+    """Scalar evaluator of c0 + c1 x + ... for a roof's `value`.
+
+    With exact (Fraction) coefficients a Rational point p/q runs Horner's
+    rule in integers over the coefficients' common denominator D,
+    D q^n r(p/q) = sum of D c_k p^k q^(n-k), and builds one Fraction.  Any
+    other point, and float coefficients, take `_horner`.
+    """
+    if not exact:
+        return lambda x: _horner(coeffs, x)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    # no coefficients is the zero polynomial, which the enclosure then rejects
+    top, *rest = [c.numerator * (den // c.denominator) for c in reversed(coeffs)] or [0]
+
+    def value(x):
+        if not isinstance(x, Rational):
+            return _horner(coeffs, x)
+        p, q = x.numerator, x.denominator
+        acc, qk = top, 1
+        for c in rest:
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, den * qk)
+
+    return value
 
 
 def _bernstein(coeffs: Sequence, lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -143,10 +170,7 @@ def polynomial_roof(base: ExpandingMarkovMap, coeffs: Sequence) -> RoofFunction:
     """
     exact = all(_is_rational(c) for c in coeffs)
     cs = tuple(Fraction(c) for c in coeffs) if exact else tuple(float(c) for c in coeffs)
-
-    def value(x):
-        return _horner(cs, x)
-
+    value = _polynomial_value(cs, exact)
     fcs = np.asarray([float(c) for c in cs])
 
     def value_many(xs):
@@ -172,8 +196,10 @@ def per_branch_polynomial_roof(
         tuple(Fraction(c) if exact else float(c) for c in cs) for cs in coeffs_per_branch
     )
 
+    cell_values = [_polynomial_value(cs, exact) for cs in table]
+
     def value(x):
-        return _horner(table[base.cell_index(x)], x)
+        return cell_values[base.cell_index(x)](x)
 
     ftable = [np.asarray([float(c) for c in cs]) for cs in table]
     inner_edges = np.asarray([float(e) for e in base.edges[1:-1]])
@@ -217,26 +243,6 @@ def cosine_roof(
         base, value, value_many, mean - abs(amplitude), mean + abs(amplitude),
         k * (1.0 + 1e-6), False,
     )
-
-
-# -- Birkhoff sums ------------------------------------------------------------
-
-
-def birkhoff_sum(roof: RoofFunction, x, n: int):
-    """Sum of r along the orbit segment x, f x, ..., f^(n-1) x.
-
-    Exact for Fraction input on exact roofs.  Boundary hits along the
-    orbit propagate as BoundaryPoint.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    exact = roof.exact and isinstance(x, Rational)
-    total = Fraction(0) if exact else 0.0
-    y = Fraction(x) if exact else float(x)
-    for _ in range(n):
-        total += roof.value(y)
-        y, _k = roof.base.evaluate(y)
-    return total
 
 
 # -- periodic-orbit witness search -------------------------------------------

@@ -236,12 +236,42 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
 
 @dataclass(frozen=True)
 class CorrelationSeries:
-    """Mean-subtracted correlation estimates on a time grid."""
+    """Mean-subtracted correlation estimates on a time grid.
+
+    A series from `correlation` keeps its per-batch means, one row per
+    batch of E[phi o X^t . psi] and E[phi o X^t], and one E[psi] each.
+    """
 
     times: np.ndarray
     values: np.ndarray
     std_errors: np.ndarray
     sample_count: int
+    batch_means: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_batches(cls, times, prod, phim, psim, per_batch: int) -> "CorrelationSeries":
+        """The estimate and its batch-means standard error over the given batches."""
+        n_batches = len(psim)
+        rho = prod.mean(axis=0) - phim.mean(axis=0) * psim.mean()
+        batch_rho = prod - phim * psim[:, None]
+        stderr = batch_rho.std(axis=0, ddof=1) / math.sqrt(n_batches)
+        return cls(times, rho, stderr, n_batches * per_batch, (prod, phim, psim))
+
+    def head(self, n_batches: int) -> "CorrelationSeries":
+        """The series over this run's first n_batches batches.
+
+        Batch b draws from its own stream ([seed, b]), so this is the
+        series that `correlation` gives for n_batches * per_batch samples
+        with the same seed, whenever that call lays out batches of the same
+        size (as every call with samples a multiple of batch_size does).
+        """
+        prod, phim, psim = self.batch_means
+        if not 2 <= n_batches <= len(psim):
+            raise ValueError(f"need 2 to {len(psim)} batches, got {n_batches}")
+        per_batch = self.sample_count // len(psim)
+        return CorrelationSeries.from_batches(
+            self.times, prod[:n_batches], phim[:n_batches], psim[:n_batches], per_batch
+        )
 
     def to_csv(self) -> str:
         lines = ["t,rho,stderr"]
@@ -285,7 +315,6 @@ def correlation(
 
     n_batches = max(2, math.ceil(samples / batch_size))
     per_batch = math.ceil(samples / n_batches)
-    total = n_batches * per_batch
     roof_many = susp.roof.value_many
 
     def run_batch(b: int):
@@ -317,11 +346,7 @@ def correlation(
     prod = np.stack([r[0] for r in results])
     phim = np.stack([r[1] for r in results])
     psim = np.asarray([r[2] for r in results])
-
-    rho = prod.mean(axis=0) - phim.mean(axis=0) * psim.mean()
-    batch_rho = prod - phim * psim[:, None]
-    stderr = batch_rho.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return CorrelationSeries(times, rho, stderr, total)
+    return CorrelationSeries.from_batches(times, prod, phim, psim, per_batch)
 
 
 def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, Callable]]:

@@ -1,5 +1,6 @@
 """Exact-path and property tests for the interval map layer."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.errors import BoundaryPoint, InadmissibleItinerary, InsufficientDepth
+from mixlab.errors import (
+    BoundaryPoint,
+    InadmissibleItinerary,
+    InexactBranch,
+    InsufficientDepth,
+    NoReturn,
+)
 from mixlab.markov_maps import (
     AffineBranch,
     ExpandingMarkovMap,
@@ -223,6 +230,161 @@ def test_periodic_orbit_cells_match_itinerary():
     orbit = m.periodic_orbit(word)
     for x, k in zip(orbit, word):
         assert m.cell_index(x) == k
+
+
+# ---------------------------------------------------------------------------
+# integer-triple kernels against the former Fraction definitions
+
+
+def _tent_map():
+    # 2x on [0, 1/2) and the orientation-reversing 2 - 2x on [1/2, 1)
+    half = Fraction(1, 2)
+    return ExpandingMarkovMap(
+        (
+            AffineBranch(Fraction(0), half, Fraction(2), Fraction(0)),
+            AffineBranch(half, Fraction(1), Fraction(-2), Fraction(2)),
+        ),
+        ((1, 1), (1, 1)),
+        expansion_bound=0.5,
+        name="tent",
+    )
+
+
+def _three_halves_map():
+    # (3/2) x on [0, 2/3) and 3x - 2 on [2/3, 1): forward triples with gamma = 2
+    cut = Fraction(2, 3)
+    return ExpandingMarkovMap(
+        (
+            AffineBranch(Fraction(0), cut, Fraction(3, 2), Fraction(0)),
+            AffineBranch(cut, Fraction(1), Fraction(3), Fraction(-2)),
+        ),
+        ((1, 1), (1, 1)),
+        expansion_bound=2 / 3,
+        name="three_halves",
+    )
+
+
+KERNEL_MAPS = [
+    doubling_map(), three_branch_map(), expanding_circle_map(5), _tent_map(), _three_halves_map()
+]
+KERNEL_IDS = ["doubling", "three_branch", "circle_5", "tent", "three_halves"]
+
+
+def _fraction_periodic_point(m, itinerary):
+    """The former definition: compose the inverses as Fractions a, c."""
+    m.check_itinerary(itinerary)
+    a, c = Fraction(1), Fraction(0)
+    for k in reversed(itinerary):
+        b = m.branches[k]
+        a, c = a / b.slope, (c - b.intercept) / b.slope
+    return c / (1 - a)
+
+
+def _fraction_periodic_orbit(m, itinerary):
+    """The former definition: forward iteration and comparisons in Fraction."""
+    y = _fraction_periodic_point(m, itinerary)
+    orbit = []
+    for k in itinerary:
+        b = m.branches[k]
+        if not (b.lo < y < b.hi) and not (y == b.lo == m.domain_lo):
+            return None
+        orbit.append(y)
+        y = b.forward(y)
+    return orbit
+
+
+def _fraction_first_return(m, base_cell, depth_cap):
+    """The former DFS: the composed inverse y -> a*y + c carried as Fractions."""
+    base = m.branches[base_cell]
+    out = []
+    stack = [((base_cell,), 1 / base.slope, -base.intercept / base.slope)]
+    while stack:
+        path, a, c = stack.pop()
+        if m.admissible(path[-1], base_cell):
+            lo, hi = sorted((a * base.lo + c, a * base.hi + c))
+            out.append((path, len(path), lo, hi, 1 / a, -c / a))
+        if len(path) < depth_cap:
+            for j in reversed(range(m.n_cells)):
+                if j != base_cell and m.admissible(path[-1], j):
+                    b = m.branches[j]
+                    stack.append((path + (j,), a / b.slope, c - a * b.intercept / b.slope))
+    out.sort(key=lambda t: (t[1], t[2]))
+    cell = base.hi - base.lo
+    return out, (cell - sum(t[3] - t[2] for t in out)) / cell
+
+
+def _words(m, max_period):
+    """Every admissible cyclic word of period 1..max_period, rotations included."""
+    for p in range(1, max_period + 1):
+        for word in itertools.product(range(m.n_cells), repeat=p):
+            try:
+                m.check_itinerary(word)
+            except InadmissibleItinerary:
+                continue
+            yield word
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_periodic_points_and_orbits_match_fraction_definitions(m):
+    # circle_5 has 5^p words of period p, so it stops at period 5
+    max_period = 5 if m.n_cells == 5 else 8
+    for word in _words(m, max_period):
+        x = m.periodic_points(word)
+        assert type(x) is Fraction and x == _fraction_periodic_point(m, word), word
+        orbit = m.periodic_orbit(word)
+        assert orbit == _fraction_periodic_orbit(m, word), word
+        assert orbit is None or all(type(y) is Fraction for y in orbit)
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_first_return_branches_match_fraction_definition(m):
+    cells = [0, 2] if m.n_cells == 5 else range(m.n_cells)
+    for cell in cells:
+        for cap in range(1, 9 if m.n_cells < 5 else 6):
+            want, residual = _fraction_first_return(m, cell, cap)
+            if not want:  # three_branch's cell 0 cannot return in one step
+                with pytest.raises(NoReturn):
+                    m.induce_first_return(cell, depth_cap=cap)
+                continue
+            induced = m.induce_first_return(cell, depth_cap=cap)
+            got = [
+                (b.itinerary, b.return_time, b.lo, b.hi, b.slope, b.intercept)
+                for b in induced.branches
+            ]
+            assert got == want, (cell, cap)
+            assert induced.residual_mass == residual
+            fields = [v for b in induced.branches for v in (b.lo, b.hi, b.slope, b.intercept)]
+            assert all(type(v) is Fraction for v in fields + [induced.residual_mass])
+
+
+def test_tent_first_return_reverses_orientation():
+    # paths with an odd number of visits to the reversing branch have negative slope
+    induced = _tent_map().induce_first_return(0, depth_cap=6)
+    assert {b.slope < 0 for b in induced.branches} == {True, False}
+    assert all(b.lo < b.hi for b in induced.branches)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        (0.0, 0.5, 2.0, 0.0),
+        (Fraction(0), Fraction(1, 2), 2.0, Fraction(0)),
+        (Fraction(1, 2), Fraction(1), Fraction(2), np.float64(-1.0)),
+    ],
+)
+def test_float_branch_data_is_a_typed_error(data):
+    with pytest.raises(InexactBranch, match="must be rational"):
+        AffineBranch(*data)
+
+
+def test_branch_triples_are_the_branch_and_its_inverse():
+    for m in KERNEL_MAPS:
+        for b in m.branches:
+            for triple, f in ((b.forward_triple, b.forward), (b.inverse_triple, b.inverse)):
+                alpha, beta, gamma = triple
+                assert gamma > 0 and all(type(v) is int for v in triple)
+                for y in (Fraction(0), Fraction(1, 7), Fraction(-5, 3)):
+                    assert (alpha * y + beta) / gamma == f(y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from mixlab.errors import InadmissibleItinerary, InvalidRoof, ProtectedOrbitHit
 from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import (
     ENCLOSURE_RTOL,
+    _horner,
     WITNESS_THRESHOLD,
     CohomologyReport,
     Witness,
-    birkhoff_sum,
     certify_coboundary,
     constant_roof,
     cosine_roof,
@@ -33,6 +34,20 @@ GAP = Fraction(4, 45)  # 26/5 - 46/9, the period-4 obstruction for 1 + x^2
 
 def xsq_roof():
     return polynomial_roof(doubling_map(), (Fraction(1), Fraction(0), Fraction(1)))
+
+
+def birkhoff_sum(roof, x, n):
+    """Oracle: the sum of r along x, f x, ..., f^(n-1) x by forward iteration.
+
+    Exact for a Rational x on an exact roof, float otherwise.
+    """
+    exact = roof.exact and isinstance(x, Rational)
+    total = Fraction(0) if exact else 0.0
+    y = Fraction(x) if exact else float(x)
+    for _ in range(n):
+        total += roof.value(y)
+        y, _k = roof.base.evaluate(y)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +393,7 @@ def test_witness_survives_disjoint_bump():
 
 
 _COEFF = st.fractions(min_value=-1, max_value=1, max_denominator=16)
+_COEFF_OR_ZERO = st.one_of(st.just(Fraction(0)), _COEFF)
 
 
 @given(st.lists(_COEFF, min_size=1, max_size=4))
@@ -419,3 +435,54 @@ def test_bumped_upper_bound_covers_values(tail, center, radius, amplitude):
     roof = polynomial_roof(doubling_map(), [Fraction(4)] + tail)
     bumped = perturb_bump(roof, center, radius, amplitude)
     assert float(bumped.upper_bound) >= _probe(bumped, [center])[1] - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the integer Horner evaluator against _horner
+
+
+def _value_probes(m):
+    """Rational points of every cell, float points, and a numpy float."""
+    points = [Fraction(0), 0, Fraction(1, 3) + Fraction(1, 2**80), Fraction(99999, 100000)]
+    points += [Fraction(k, 97) for k in range(97)] + [Fraction(2 * k + 1, 2**40) for k in range(9)]
+    points += [0.0, 0.1, 1 / 3, 0.75, np.float64(0.7)]
+    return [x for x in points if m.domain_lo <= x < m.domain_hi]
+
+
+def _assert_same_value(got, want):
+    assert got == want and type(got) is type(want), (got, want)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (Fraction(3, 2),),
+        (5,),
+        (1, 0, 1),
+        (2, 1, -1),
+        (Fraction(7, 3), Fraction(-1, 6), 0, Fraction(5, 4)),
+        (4, Fraction(1, 3), 0),  # a zero leading coefficient
+        (Fraction(9, 2), 0, 0, 0, Fraction(-1, 10**12)),
+    ],
+)
+def test_polynomial_roof_value_is_horner_exactly(coeffs):
+    roof = polynomial_roof(three_branch_map(), coeffs)
+    cs = tuple(Fraction(c) for c in coeffs)
+    for x in _value_probes(roof.base):
+        _assert_same_value(roof.value(x), _horner(cs, x))
+
+
+@given(st.lists(st.lists(_COEFF_OR_ZERO, min_size=1, max_size=4), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_per_branch_roof_value_is_horner_exactly(tails):
+    table = [[Fraction(5)] + t for t in tails]
+    roof = per_branch_polynomial_roof(three_branch_map(), table)
+    m = roof.base
+    for x in _value_probes(m):
+        _assert_same_value(roof.value(x), _horner(table[m.cell_index(x)], x))
+
+
+def test_float_coefficients_keep_the_float_horner():
+    roof = polynomial_roof(doubling_map(), (1.0, 0.0, 1.0))
+    for x in _value_probes(roof.base):
+        _assert_same_value(roof.value(x), _horner((1.0, 0.0, 1.0), x))

@@ -228,6 +228,22 @@ def test_correlation_reads_the_roof_once_per_sample_and_crossing(monkeypatch):
     assert samples + sum(crossings) < samples * steps / 4
 
 
+def test_head_is_the_run_over_the_first_batches():
+    # batch b draws from [seed, b], so the first batches of a longer run are a shorter run
+    susp = _xsq_susp()
+    _, phi, psi = default_observables(susp)[0]
+    kw = dict(times=np.linspace(0.0, 6.0, 25), seed=7, batch_size=2500)
+    long = correlation(susp, phi, psi, samples=12_500, **kw)
+    for n in (2, 3, 5):
+        short = correlation(susp, phi, psi, samples=2500 * n, **kw)
+        head = long.head(n)
+        assert head.sample_count == short.sample_count == 2500 * n
+        assert head.to_csv() == short.to_csv()
+    for n in (1, 6):
+        with pytest.raises(ValueError, match="batches"):
+            long.head(n)
+
+
 def test_correlation_keeps_psi_at_time_zero():
     # an observable that returns the state array itself must give the series
     # of one that returns a copy: psi(0) may not follow the advanced state
