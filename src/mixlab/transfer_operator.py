@@ -3,10 +3,12 @@
 Pointwise application sums over inverse branches with Jacobian weights.
 Two discretizations are provided:
 
-- The Ulam scheme works on equal-width bins, assembled by pulling bin
-  edges back through the branch inverses.  Power iteration on the
-  discretized adjoint produces the absolutely continuous invariant
-  density.
+- The Ulam scheme works on equal-width bins that refine the Markov
+  partition of an affine Markov map.  Each branch sends a bin onto an
+  interval whose ends are integer ratios on the bin grid, so the matrix is
+  assembled from integer overlaps with one float division per entry.
+  Power iteration on the discretized adjoint produces the absolutely
+  continuous invariant density.
 - The polynomial scheme works on piecewise polynomials of a fixed degree
   on each Markov cell, collocated at Chebyshev points.  For affine Markov
   maps that space is invariant, so the matrix is the operator itself
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BinMisalignment, NoConvergence, NotAffineMarkov
+from .errors import BinMisalignment, MixlabError, NoConvergence, NotAffineMarkov
 from .markov_maps import ExpandingMarkovMap
 
 POWER_TOL = 1e-10
@@ -91,11 +93,13 @@ class UlamOperator:
 def build_ulam(map_: ExpandingMarkovMap, bins: int) -> UlamOperator:
     """Discretize the transfer operator on `bins` equal-width cells.
 
-    Bin edges must refine the Markov partition so that every branch is
-    smooth on every bin; otherwise BinMisalignment.  Entries are interval
-    overlaps pulled back through the branch inverses in exact rational
-    arithmetic, rounded to float once at the end.
+    The map must be affine Markov (NotAffineMarkov otherwise), and bin
+    edges must refine the Markov partition so that every branch is affine
+    on every bin (BinMisalignment otherwise).  Entry (i, j) is the length
+    of bin i's image inside bin j over |slope|, computed in integers on
+    the bin grid and rounded to float once by a single division.
     """
+    _require_affine_markov(map_)
     if bins < map_.n_cells:
         raise BinMisalignment(f"{bins} bins cannot refine {map_.n_cells} partition cells")
     for e in map_.edges:
@@ -105,41 +109,54 @@ def build_ulam(map_: ExpandingMarkovMap, bins: int) -> UlamOperator:
     return UlamOperator(map=map_, bins=bins, matrix=_assemble_pullback(map_, bins))
 
 
-def _assemble_pullback(map_: ExpandingMarkovMap, bins: int) -> np.ndarray:
-    lo, width = map_.domain_lo, map_.domain_hi - map_.domain_lo
-    edge = [lo + width * Fraction(i, bins) for i in range(bins + 1)]
-    binw = width / bins
-    rows: list[dict] = [dict() for _ in range(bins)]
+def _require_affine_markov(map_: ExpandingMarkovMap) -> None:
+    for k in range(map_.n_cells):
+        if map_.markov_defect(k):
+            raise NotAffineMarkov(f"image of branch {k} is not the union of its flagged cells")
 
+
+def _assemble_pullback(map_: ExpandingMarkovMap, bins: int) -> np.ndarray:
+    """Ulam matrix of an affine Markov map whose cells are unions of bins.
+
+    Positions are measured in bin units, P(y) = bins (y - lo) / width.  On
+    branch k, bin i maps onto [P_i, P_{i+1}] with P_i = (a i + c) / den for
+    integers a, c, den.  Its overlap with bin j, times den, is the integer
+    ov = min(hi, (j+1) den) - max(lo, j den), and the entry is ov / |a|: the
+    overlap in x over the bin width.  Markov images keep every operand of
+    order bins^2; below 2^53 both are exact in float64 and the one division
+    rounds correctly, as float() of the same rational would.  Past 2^53,
+    MixlabError.
+    """
+    lo, width = Fraction(map_.domain_lo), Fraction(map_.domain_hi - map_.domain_lo)
+    grids = []
     for b in map_.branches:
-        img_lo, img_hi = b.image_lo, b.image_hi
-        j_first = int((Fraction(img_lo) - lo) / binw)
-        for j in range(j_first, bins):
-            seg_lo = max(img_lo, edge[j])
-            seg_hi = min(img_hi, edge[j + 1])
-            if seg_lo >= seg_hi:
-                if edge[j] >= img_hi:
-                    break
-                continue
-            a, c = b.inverse(seg_lo), b.inverse(seg_hi)
-            if a > c:
-                a, c = c, a
-            i = int((a - lo) / binw)
-            while i < bins and edge[i] < c:
-                ov = min(c, edge[i + 1]) - max(a, edge[i])
-                if ov > 0:
-                    row = rows[i]
-                    row[j] = row.get(j, 0) + ov / binw
-                i += 1
+        slope = Fraction(b.slope)
+        # P(f(x)) = slope * i + shift at the left edge x of bin i
+        shift = bins * (slope * lo + Fraction(b.intercept) - lo) / width
+        den = math.lcm(slope.denominator, shift.denominator)
+        i0, i1 = (int(bins * (Fraction(e) - lo) / width) for e in (b.lo, b.hi))
+        grids.append((i0, i1, int(slope * den), int(shift * den), den))
+    if max(abs(a) * bins + abs(c) + den * (bins + 1) for _, _, a, c, den in grids) >= 2**53:
+        raise MixlabError(f"{bins} bins take the Ulam grid numerators past 2^53")
 
     # a private mapping of its own, unmapped when the matrix is freed: taken
     # from glibc's heap instead, dense matrices built over and over fragment
     # it, and peak RSS grows by a whole matrix after a few rebuilds
     buffer = mmap.mmap(-1, 8 * bins * bins, access=mmap.ACCESS_COPY)
     matrix = np.frombuffer(buffer, dtype=np.float64).reshape(bins, bins)
-    for i, row in enumerate(rows):
-        for j, val in row.items():
-            matrix[i, j] = float(val)
+    for i0, i1, a, c, den in grids:
+        i = np.arange(i0, i1, dtype=np.int64)
+        p = a * i + c
+        p_lo, p_hi = np.minimum(p, p + a), np.maximum(p, p + a)
+        j_lo = p_lo // den
+        counts = -(-p_hi // den) - j_lo  # image bins j_lo .. ceil(p_hi / den) - 1
+        rows = np.repeat(i, counts)
+        starts = np.cumsum(counts) - counts
+        j = np.repeat(j_lo - starts, counts) + np.arange(rows.size, dtype=np.int64)
+        ov = np.minimum(np.repeat(p_hi, counts), (j + 1) * den) - np.maximum(
+            np.repeat(p_lo, counts), j * den
+        )
+        matrix[rows, j] = ov / abs(a)
     return matrix
 
 
@@ -317,9 +334,7 @@ def polynomial_operator(map_: ExpandingMarkovMap, degree: int) -> PolynomialOper
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    for k in range(map_.n_cells):
-        if map_.markov_defect(k):
-            raise NotAffineMarkov(f"image of branch {k} is not the union of its flagged cells")
+    _require_affine_markov(map_)
     n = degree + 1
     t, bary, fejer = _chebyshev(n)
     edges = map_.edges_f

@@ -4,9 +4,11 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mixlab.cli import main
+from mixlab.cli import _base_density, main
+from mixlab.config import build_map, load_config
 from mixlab.errors import CrossingBudgetExceeded, MixlabError
 from mixlab.markov_maps import doubling_map
 from mixlab.roof import per_branch_polynomial_roof
@@ -315,6 +317,24 @@ def test_correlate_thread_count_keeps_bytes(tmp_path):
     assert main(["correlate", "--config", cfg, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
     for name in ("correlation_height_mix.csv", "fit_height_mix.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_correlate_reweights_a_base_that_does_not_preserve_lebesgue(tmp_path):
+    # three_branch's invariant density is 3/4 on [0, 1/3) and 9/8 on [1/3, 1),
+    # so correlate samples the base from its Ulam density
+    text = THREE_BRANCH.split("[run]")[0] + XSQ_ROOF + CORR_RUN + "bins = 63\n"
+    cfg = _cfg(tmp_path, text)
+    assert main(["correlate", "--config", cfg, "--threads", "1", "--out", str(tmp_path / "a")]) == 0
+    assert main(["correlate", "--config", cfg, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "correlation_height_mix.csv" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    loaded = load_config(cfg)
+    density = _base_density(loaded, build_map(loaded))
+    expected = np.repeat([0.75, 1.125], [21, 42])
+    assert np.max(np.abs(density.values - expected)) <= 1e-8
 
 
 def test_correlate_crossing_budget_is_a_model_error():

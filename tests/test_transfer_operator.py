@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.errors import BinMisalignment, BoundaryPoint, NoConvergence, NotAffineMarkov
+from mixlab.errors import (
+    BinMisalignment,
+    BoundaryPoint,
+    MixlabError,
+    NoConvergence,
+    NotAffineMarkov,
+)
 from mixlab.markov_maps import (
     AffineBranch,
     ExpandingMarkovMap,
@@ -171,6 +177,81 @@ def test_ulam_rows_stochastic(map_, bins):
     assert np.max(np.abs(op.matrix.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def _fraction_ulam(map_, bins):
+    """Oracle: every overlap pulled back through the branch inverses in
+    Fraction arithmetic and rounded to float once, entry by entry."""
+    lo, width = map_.domain_lo, map_.domain_hi - map_.domain_lo
+    edge = [lo + width * Fraction(i, bins) for i in range(bins + 1)]
+    binw = width / bins
+    entries = {}
+    for b in map_.branches:
+        img_lo, img_hi = b.image_lo, b.image_hi
+        for j in range(int((Fraction(img_lo) - lo) / binw), bins):
+            seg_lo, seg_hi = max(img_lo, edge[j]), min(img_hi, edge[j + 1])
+            if seg_lo >= seg_hi:
+                if edge[j] >= img_hi:
+                    break
+                continue
+            a, c = sorted((b.inverse(seg_lo), b.inverse(seg_hi)))
+            i = int((a - lo) / binw)
+            while i < bins and edge[i] < c:
+                ov = min(c, edge[i + 1]) - max(a, edge[i])
+                if ov > 0:
+                    entries[i, j] = entries.get((i, j), 0) + ov / binw
+                i += 1
+    matrix = np.zeros((bins, bins))
+    for (i, j), val in entries.items():
+        matrix[i, j] = float(val)
+    return matrix
+
+
+def _map(cells, slopes, intercepts, transition):
+    """Affine map with branch x -> slope x + intercept on each [cells[k], cells[k+1])."""
+    branches = [
+        AffineBranch(Fraction(a), Fraction(c), Fraction(s), Fraction(t))
+        for a, c, s, t in zip(cells, cells[1:], slopes, intercepts)
+    ]
+    return ExpandingMarkovMap(branches, transition, expansion_bound=1.0)
+
+
+def _three_halves():
+    # slope 3/2 onto [0, 1) from [0, 2/3), then 3x - 2: the grid needs den = 2
+    return _map((0, Fraction(2, 3), 1), (Fraction(3, 2), 3), (0, -2), [[1, 1], [1, 1]])
+
+
+def _tent():
+    # the second branch 2 - 2x reverses orientation
+    return _map((0, Fraction(1, 2), 1), (2, -2), (0, 2), [[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "map_, bins",
+    [
+        (doubling_map(), 2),
+        (doubling_map(), 4),
+        (doubling_map(), 64),
+        (doubling_map(), 1024),
+        (three_branch_map(), 9),
+        (three_branch_map(), 1023),
+        (expanding_circle_map(5), 1025),
+        (_three_halves(), 300),
+        (_tent(), 256),
+        # doubling on [2, 4) and three_branch stretched onto [0, 3)
+        (_map((2, 3, 4), (2, 2), (-2, -4), [[1, 1], [1, 1]]), 64),
+        (_map((0, 1, 2, 3), (2, 3, 3), (1, -3, -6), [[0, 1, 1], [1, 1, 1], [1, 1, 1]]), 63),
+    ],
+)
+def test_ulam_matches_fraction_oracle_bit_for_bit(map_, bins):
+    matrix = build_ulam(map_, bins).matrix
+    assert np.array_equal(matrix.view(np.int64), _fraction_ulam(map_, bins).view(np.int64))
+
+
+def test_ulam_grid_past_2_53_is_a_model_error():
+    # raised before the matrix is allocated
+    with pytest.raises(MixlabError, match="2\\^53"):
+        build_ulam(doubling_map(), 2**51)
+
+
 # -- invariant densities -----------------------------------------------------
 
 
@@ -314,6 +395,10 @@ def test_polynomial_operator_rejects_non_affine_markov_maps():
         (three_branch_map(), True),
         (expanding_circle_map(5), True),
         (_skewed_doubling(), False),
+        # [1/2, 1) -> 3x - 2 has image [-1/2, 1), below the domain
+        (_map((0, Fraction(1, 2), 1), (2, 3), (0, -2), [[1, 1], [1, 1]]), False),
+        # [1/2, 1) -> 3x - 1 has image [1/2, 2), above the domain
+        (_map((0, Fraction(1, 2), 1), (2, 3), (0, -1), [[1, 1], [1, 1]]), False),
     ],
 )
 def test_markov_images_verdict_matches_polynomial_operator(m, markov):
@@ -324,6 +409,13 @@ def test_markov_images_verdict_matches_polynomial_operator(m, markov):
     else:
         accepted = True
     assert accepted == m.validate_axioms()["markov_images"].passed == markov
+    # build_ulam shares the check: 60 bins refine every partition here
+    try:
+        build_ulam(m, 60)
+    except NotAffineMarkov:
+        assert not markov
+    else:
+        assert markov
 
 
 def test_resonances_of_constant_roof_on_the_lattice():
