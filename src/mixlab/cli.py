@@ -32,6 +32,7 @@ from .skew_product import validate_contraction, validate_invariance
 from .solenoid import SolenoidModel, attractor_sample, check_domination, cloud_csv
 from .suspension import (
     correlation,
+    MAX_THREADS,
     default_observables,
     fit_rate,
     suspend,
@@ -82,7 +83,7 @@ class Runtime:
         elif cfg.run.threads is not None:
             self.threads = cfg.run.threads
         else:
-            self.threads = os.cpu_count() or 1
+            self.threads = min(os.cpu_count() or 1, MAX_THREADS)
         self.out_dir = args.out if args.out is not None else cfg.output.out_dir
         self.format = args.format if args.format is not None else cfg.output.format
 
@@ -96,8 +97,8 @@ def _seed_value(text: str) -> int:
 
 def _thread_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"threads must be 1 to {MAX_THREADS}")
     return value
 
 
@@ -348,7 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", help="experiment config path (INI)")
         p.add_argument("--seed", type=_seed_value, help="64-bit unsigned master seed")
-        p.add_argument("--threads", type=_thread_count, help="worker count (default: logical cores)")
+        p.add_argument(
+            "--threads",
+            type=_thread_count,
+            help=f"worker processes, 1 to {MAX_THREADS} (default: logical cores)",
+        )
         p.add_argument("--out", help="artifact directory")
         p.add_argument("--format", choices=_FORMATS, help="artifact formats")
     return parser

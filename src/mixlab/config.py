@@ -9,7 +9,9 @@ typos fail loudly instead of silently running defaults.
 Values that feed exact arithmetic (breakpoints, slopes, roof
 coefficients, solenoid geometry) parse as Fractions, accepting both
 "1/3" and "0.25" spellings.  Purely statistical knobs (dt, tolerances)
-parse as floats.
+parse as floats.  Sizes that allocate are bounded: [run] threads, the
+number of worker processes, is at most MAX_THREADS (256) and bins at most
+MAX_BINS (8192).
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from .roof import (
 )
 from .solenoid import SolenoidModel
 from .solenoid import build as build_solenoid_model
+from .suspension import MAX_THREADS
+
+# build_ulam allocates a dense bins x bins float64 matrix: 8192 bins is 512 MB
+MAX_BINS = 8192
 
 _MODEL_KEYS = {
     "kind",
@@ -241,13 +247,14 @@ def _parse_run(raw: dict[str, str], path, lines) -> RunSettings:
         "pairs": 1,
         "base_cell": 0,
         "grid": 1,
-        "bins": 1,
         "burn_in": 0,
     }
     if "seed" in raw:
         kw["seed"] = _get_int(raw, path, lines, "run", "seed", lo=0, hi=2**64 - 1)
     if "threads" in raw:
-        kw["threads"] = _get_int(raw, path, lines, "run", "threads", lo=1)
+        kw["threads"] = _get_int(raw, path, lines, "run", "threads", lo=1, hi=MAX_THREADS)
+    if "bins" in raw:
+        kw["bins"] = _get_int(raw, path, lines, "run", "bins", lo=1, hi=MAX_BINS)
     for key, lo in ints.items():
         if key in raw:
             kw[key] = _get_int(raw, path, lines, "run", key, lo=lo)

@@ -10,13 +10,15 @@ roofs cohomologous to locally constant ones.
 
 All randomness is generated per batch from ``default_rng([seed, batch])``
 and batches are merged in index order, so results are byte-identical for
-any worker count.
+any worker count.  `correlation` spreads its batches over worker processes
+forked from the caller (POSIX ``fork`` only); the caller runs every
+``workers``-th batch itself, and the children inherit the observables by
+fork, so observables need not be picklable.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -33,6 +35,8 @@ from .transfer_operator import InvariantDensity, integrate
 DEFAULT_DT = 0.1
 DEFAULT_SPAN_MULT = 30.0
 DEFAULT_BATCH = 50_000
+# most worker processes `correlation` takes, and so the bound on [run] threads and --threads
+MAX_THREADS = 256
 # Gauss-Legendre nodes for the roof average over the base
 _QUAD_SAMPLES = 4096
 
@@ -302,6 +306,13 @@ def correlation(
     form using the same sample; standard errors come from batch means.
     The batch layout depends only on (samples, batch_size, seed), so the
     thread count never changes the output.
+
+    `threads` (1 to MAX_THREADS) is the number of worker processes, capped
+    at the batch count.  The caller runs batches 0, workers, 2 workers, ...
+    itself and workers - 1 children forked from it run the rest (POSIX
+    ``fork`` only), so the observables reach them by fork and need not be
+    picklable.  An error raised in a child reaches the caller with its
+    type, and no child outlives the call.
     """
     if times is None:
         times = susp.default_times()
@@ -312,6 +323,8 @@ def correlation(
         raise ValueError("times must be strictly increasing and start at t >= 0")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be 1 to {MAX_THREADS}, got {threads}")
 
     n_batches = max(2, math.ceil(samples / batch_size))
     per_batch = math.ceil(samples / n_batches)
@@ -337,16 +350,60 @@ def correlation(
             phi_means[j] = float(np.mean(ph))
         return prod_means, phi_means, float(np.mean(psi0))
 
-    if threads <= 1:
-        results = [run_batch(b) for b in range(n_batches)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_batch, range(n_batches)))
-
+    results = _map_batches(run_batch, n_batches, min(threads, n_batches))
     prod = np.stack([r[0] for r in results])
     phim = np.stack([r[1] for r in results])
     psim = np.asarray([r[2] for r in results])
     return CorrelationSeries.from_batches(times, prod, phim, psim, per_batch)
+
+
+# the batch function of the `correlation` call that forked this worker process
+_forked_batch = None
+
+
+def _adopt_batch(run_batch: Callable) -> None:
+    global _forked_batch
+    _forked_batch = run_batch
+
+
+def _run_forked_batch(b: int):
+    return _forked_batch(b)
+
+
+def _map_batches(run_batch: Callable, n_batches: int, workers: int) -> list:
+    """[run_batch(b) for b in range(n_batches)], spread over `workers` processes.
+
+    run_batch reaches the children through the pool initializer, which fork
+    hands over without pickling, so only batch indices and results cross
+    the pipes.  A child that dies raises BrokenProcessPool instead of
+    leaving the call waiting.
+    """
+    own = range(0, n_batches, workers)
+    if workers == 1:
+        return [run_batch(b) for b in own]
+    # imported here: one-worker runs, and every run's set-up, skip the import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    theirs = [b for b in range(n_batches) if b % workers]
+    with ProcessPoolExecutor(
+        workers - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_batch,
+        initargs=(run_batch,),
+    ) as pool:
+        pending = [pool.submit(_run_forked_batch, b) for b in theirs]
+        try:
+            mine = [run_batch(b) for b in own]
+            forked = [f.result() for f in pending]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    results = [None] * n_batches
+    results[::workers] = mine
+    for b, res in zip(theirs, forked):
+        results[b] = res
+    return results
 
 
 def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, Callable]]:

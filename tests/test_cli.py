@@ -412,6 +412,21 @@ def test_bad_seed_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "257"])
+def test_threads_flag_out_of_range_is_usage_error(tmp_path, threads):
+    cfg = _cfg(tmp_path, DOUBLING)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg, "--threads", threads])
+    assert exc.value.code == 2
+
+
+def test_huge_bins_is_a_config_error(tmp_path, capsys):
+    # rejected while parsing, before build_ulam allocates bins x bins floats
+    cfg = _cfg(tmp_path, DOUBLING.replace("bins = 64", "bins = 562949953421312"))
+    assert run(tmp_path, "srb", "--config", cfg) == 2
+    assert "above maximum 8192" in capsys.readouterr().err
+
+
 def test_out_flag_overrides_config_dir(tmp_path):
     text = DOUBLING + "\n[output]\nout_dir = " + str(tmp_path / "from_cfg") + "\n"
     cfg = _cfg(tmp_path, text)

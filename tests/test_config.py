@@ -89,6 +89,14 @@ def test_numeric_validation_messages():
         parse_config("[run]\nthreads = 0\n")
 
 
+def test_allocating_sizes_have_a_maximum():
+    assert parse_config("[run]\nthreads = 256\nbins = 8192\n").run.bins == 8192
+    with pytest.raises(ConfigError, match="above maximum 256 for 'threads'"):
+        parse_config("[run]\nthreads = 257\n")
+    with pytest.raises(ConfigError, match="above maximum 8192 for 'bins'"):
+        parse_config("[run]\nbins = 8193\n")
+
+
 def test_format_whitelist():
     with pytest.raises(ConfigError, match="expected csv or csv\\+svg"):
         parse_config("[output]\nformat = pdf\n")

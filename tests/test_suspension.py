@@ -1,13 +1,16 @@
 """Suspension semiflow tests: exact flow, correlations, decay fits, distances."""
 
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mixlab.errors import BoundaryPoint, BracketUndefined, WindowTooShort
+from mixlab.errors import BoundaryPoint, BracketUndefined, CrossingBudgetExceeded, WindowTooShort
 from mixlab.markov_maps import (
     ExpandingMarkovMap,
     doubling_map,
@@ -17,6 +20,7 @@ from mixlab.markov_maps import (
 from mixlab.roof import constant_roof, per_branch_polynomial_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
+    MAX_THREADS,
     CorrelationSeries,
     correlation,
     default_observables,
@@ -191,6 +195,57 @@ def test_correlation_thread_count_never_changes_bytes():
     assert np.array_equal(one.values, three.values)
     assert np.array_equal(one.std_errors, three.std_errors)
     assert one.to_csv() == three.to_csv()
+
+
+@pytest.mark.parametrize("samples", [2000, 5000])
+def test_forked_batches_keep_solenoid_bytes(samples):
+    # the closures of default_observables reach the children by fork; with
+    # 2 batches, threads=3 is capped at one worker per batch
+    susp = _solenoid_susp()
+    kw = dict(times=np.linspace(0.0, 2.0, 9), samples=samples, seed=4, batch_size=1000)
+    for _, phi, psi in default_observables(susp):
+        csvs = {correlation(susp, phi, psi, threads=n, **kw).to_csv() for n in (1, 2, 3)}
+        assert len(csvs) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _fails_in_children(error):
+    parent = os.getpid()
+
+    def phi(x, u):
+        if os.getpid() != parent:
+            error()
+        return x
+
+    return phi
+
+
+def _crossing_error():
+    raise CrossingBudgetExceeded("raised in a worker process")
+
+
+def test_child_error_reaches_the_caller_with_its_type():
+    phi = _fails_in_children(_crossing_error)
+    kw = dict(times=[0.0, 0.5], samples=3000, seed=1, batch_size=1000, threads=2)
+    with pytest.raises(CrossingBudgetExceeded, match="raised in a worker process"):
+        correlation(_const_susp(), phi, phi, **kw)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_child_raises_instead_of_hanging():
+    phi = _fails_in_children(lambda: os._exit(3))
+    kw = dict(times=[0.0, 0.5], samples=2000, seed=1, batch_size=1000, threads=2)
+    with pytest.raises(BrokenProcessPool):
+        correlation(_const_susp(), phi, phi, **kw)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [0, MAX_THREADS + 1])
+def test_correlation_rejects_worker_counts_out_of_range(threads):
+    # rejected before any batch runs, so no process is started
+    susp = _const_susp()
+    with pytest.raises(ValueError, match="threads must be"):
+        correlation(susp, lambda x, u: x, lambda x, u: x, samples=100, threads=threads)
 
 
 def test_correlation_reads_the_roof_once_per_sample_and_crossing(monkeypatch):
