@@ -34,7 +34,8 @@ class ProtectedOrbitHit(MixlabError):
 
 
 class DepthOverflow(MixlabError):
-    """Inverse-branch tree exceeded the node budget."""
+    """An enumeration would exceed its budget: the inverse-branch tree of a
+    disintegration its node budget, or a first-return map its excursion paths."""
 
 
 class NotFullBranch(MixlabError):

@@ -8,7 +8,12 @@ which the cohomology and inducing machinery rely on, and a vectorised float
 path for statistics.  On the exact path periodic points, periodic orbits
 and first-return branches compose the branches as integer triples
 (alpha, beta, gamma), y -> (alpha*y + beta)/gamma, and build a Fraction
-only for what they return.
+only for what they return.  `orbit_walk` hands a periodic orbit over as
+integer numerator and denominator pairs, so a caller can sum along it
+without a Fraction per point.  First-return inducing sums each return
+time's mass |A|/C in integers while it enumerates, so the tail masses
+cost one Fraction per return time, not one per branch, and each
+`InducedBranch` builds its Fractions only when they are read.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BoundaryPoint,
+    DepthOverflow,
     InadmissibleItinerary,
     InexactBranch,
     InsufficientDepth,
@@ -32,6 +39,10 @@ from .errors import (
 )
 
 GEOM_TOL = 1e-12
+# most excursion paths a first-return enumeration may walk.  three_branch's
+# cell 0 walks 2^cap - 1 of them, so the budget admits its cap 17: 131,070
+# branches in about 0.9 s and 110 MB on a 2-core Xeon, each level doubling both
+RETURN_PATH_BUDGET = 1 << 17
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -321,43 +332,59 @@ class ExpandingMarkovMap:
             if not transition[a][b]:
                 raise InadmissibleItinerary(f"transition {a}->{b} forbidden")
 
-    def periodic_points(self, itinerary: Sequence[int]):
-        """Point x with f^n(x) = x realising the given cyclic itinerary.
+    def _fixed_point(self, itinerary: Sequence[int]) -> tuple[int, int]:
+        """Lowest-terms (p, q), q > 0, of the point realising the itinerary.
 
-        Exact (Fraction): the inverse branches compose, innermost first,
-        as one integer triple y -> (A*y + B)/C, and the fixed point of that
-        contraction is B / (C - A).
+        The inverse branches compose, innermost first, as one integer
+        triple y -> (A*y + B)/C, and the fixed point of that contraction is
+        B / (C - A).
         """
-        self.check_itinerary(itinerary)
         # h = h_{k_0} o ... o h_{k_{n-1}}: prepend each inverse (a, b, c)
         # as h -> (a*h + b)/c
         A, B, C = 1, 0, 1
         for k in reversed(itinerary):
             a, b, c = self.branches[k].inverse_triple
             A, B, C = a * A, a * B + b * C, c * C
-        return Fraction(B, C - A)
+        g = math.gcd(B, C - A)
+        return B // g, (C - A) // g
 
-    def periodic_orbit(self, itinerary: Sequence[int]):
-        """Orbit points (x, f x, ..., f^{n-1} x) for a periodic itinerary.
+    def periodic_points(self, itinerary: Sequence[int]):
+        """Point x with f^n(x) = x realising the given cyclic itinerary (exact Fraction)."""
+        self.check_itinerary(itinerary)
+        return Fraction(*self._fixed_point(itinerary))
 
-        Returns None if the orbit touches a cell boundary (the coding is
-        then not realised by an interior point).  The orbit is walked on
-        integer numerator and denominator pairs; cell bounds are compared
-        by cross-multiplication (every denominator is positive).
+    def orbit_walk(self, itinerary: Sequence[int]):
+        """The periodic orbit of an admissible itinerary as integer pairs.
+
+        Returns [(k_0, p_0, q_0), ..., (k_{n-1}, p_{n-1}, q_{n-1})], where
+        p_i/q_i = f^i(x) lies in cell k_i, with every q_i > 0 and q_i
+        dividing q_{i+1}; or None if the orbit touches a cell boundary (the
+        coding is then not realised by an interior point).  Cell bounds are
+        compared by cross-multiplication.  The itinerary is not checked:
+        `periodic_orbit` checks it, and `enumerate_cyclic_classes` yields
+        only admissible words.
         """
-        x = self.periodic_points(itinerary)
-        p, q = x.numerator, x.denominator
-        orbit = []
+        p, q = self._fixed_point(itinerary)
+        walk = []
         for k in itinerary:
             lo_n, lo_d, hi_n, hi_d = self._cells_q[k]
             inside = lo_n * q < p * lo_d and p * hi_d < hi_n * q
             # only cell 0 starts at domain_lo, which belongs to the domain
             if not inside and not (k == 0 and p * lo_d == lo_n * q):
                 return None
-            orbit.append(Fraction(p, q))
+            walk.append((k, p, q))
             a, b, c = self.branches[k].forward_triple
             p, q = a * p + b * q, c * q
-        return orbit
+        return walk
+
+    def periodic_orbit(self, itinerary: Sequence[int]):
+        """Orbit points (x, f x, ..., f^{n-1} x) for a periodic itinerary.
+
+        Returns None if the orbit touches a cell boundary; see `orbit_walk`.
+        """
+        self.check_itinerary(itinerary)
+        walk = self.orbit_walk(itinerary)
+        return None if walk is None else [Fraction(p, q) for _, p, q in walk]
 
     # -- first-return inducing ----------------------------------------------
 
@@ -367,7 +394,10 @@ class ExpandingMarkovMap:
         The countable branch family is materialised only up to the cap; the
         dropped mass m({R > depth_cap}) is reported on the result.  Each
         excursion path composes its inverse branches as an integer triple,
-        and a branch's four Fractions are built only where the path returns.
+        and each return time's mass is summed in integers as the paths
+        return.  Before any branch is built the number of excursion paths is
+        counted from the transition matrix, and DepthOverflow is raised when
+        it exceeds RETURN_PATH_BUDGET.
         """
         if not 0 <= base_cell < self.n_cells:
             raise ValueError("base_cell out of range")
@@ -375,8 +405,15 @@ class ExpandingMarkovMap:
             raise ValueError("depth_cap must be >= 1")
         if not _recurrent(self.transition, base_cell):
             raise NoReturn(f"cell {base_cell} is not recurrent under the transition matrix")
+        paths = _excursion_paths(self.transition, base_cell, depth_cap, RETURN_PATH_BUDGET)
+        if paths > RETURN_PATH_BUDGET:
+            raise DepthOverflow(
+                f"first return to cell {base_cell} walks more than {RETURN_PATH_BUDGET} "
+                f"excursion paths by depth {depth_cap}; lower depth_cap"
+            )
 
-        lo_n, lo_d, hi_n, hi_d = self._cells_q[base_cell]
+        cell = self._cells_q[base_cell]
+        lo_n, lo_d, hi_n, hi_d = cell
         inverses = [b.inverse_triple for b in self.branches]
         cells = range(self.n_cells)
         returns = [self.admissible(k, base_cell) for k in cells]
@@ -384,55 +421,76 @@ class ExpandingMarkovMap:
         steps = [
             [j for j in reversed(cells) if j != base_cell and self.admissible(k, j)] for k in cells
         ]
-        branches: list[InducedBranch] = []
-        # enumerated mass over the cell's length, the sum of |A|/C, as num/den
-        num, den = 0, 1
+        # (return time, float(lo), path, (A, B, C)) per returning path
+        found = []
+        # per return time, its mass over the cell's length, the sum of |A|/C, as (num, den)
+        bins = [(0, 1)] * (depth_cap + 1)
 
         # DFS over admissible excursion paths (c_0=base, c_1, .., c_{R-1}),
         # each carrying its composed inverse H = h_{c_0} o ... o h_{c_{R-1}}
         # as the integer triple y -> (A*y + B)/C, C > 0.  H maps the base
         # cell onto the path's cylinder, and f^R on that cylinder is H's
-        # inverse x -> (C*x - B)/A.
+        # inverse x -> (C*x - B)/A.  |H(hi) - H(lo)| = |A|/C times the cell's length.
         stack = [((base_cell,), *inverses[base_cell])]
         while stack:
             path, A, B, C = stack.pop()
             last = path[-1]
             depth = len(path)
             if returns[last]:
-                u = Fraction(A * lo_n + B * lo_d, C * lo_d)
-                v = Fraction(A * hi_n + B * hi_d, C * hi_d)
-                lo, hi = (u, v) if A > 0 else (v, u)
-                branches.append(
-                    InducedBranch(
-                        itinerary=path,
-                        return_time=depth,
-                        lo=lo,
-                        hi=hi,
-                        slope=Fraction(C, A),
-                        intercept=Fraction(-B, A),
-                    )
-                )
+                # the cylinder's left end is H(lo) when H preserves orientation;
+                # integer true division rounds it as float(Fraction) would
+                if A > 0:
+                    lo = (A * lo_n + B * lo_d) / (C * lo_d)
+                else:
+                    lo = (A * hi_n + B * hi_d) / (C * hi_d)
+                found.append((depth, lo, path, (A, B, C)))
+                num, den = bins[depth]
                 lcm = math.lcm(den, C)
-                num, den = num * (lcm // den) + abs(A) * (lcm // C), lcm
+                bins[depth] = (num * (lcm // den) + abs(A) * (lcm // C), lcm)
             if depth < depth_cap:
                 for j in steps[last]:
                     # compose inside: H o h_j
                     a, b, c = inverses[j]
                     stack.append((path + (j,), A * a, A * b + B * c, C * c))
 
-        if not branches:
+        if not found:
             raise NoReturn(f"no return path to cell {base_cell} within depth {depth_cap}")
-        # rounding is monotone, so the float key orders as lo does; lo breaks ties
-        branches.sort(key=lambda b: (b.return_time, float(b.lo), b.lo))
-        # |H(hi) - H(lo)| = |A|/C times the cell's length
-        residual = 1 - Fraction(num, den)
+        found.sort(key=itemgetter(0, 1))
+        branches = [InducedBranch(path, triple, cell) for _, _, path, triple in found]
+        # rounding is monotone, so the float key orders as lo does; the
+        # cylinders are disjoint, so only a float tie needs lo itself
+        if len({lo for _, lo, _, _ in found}) < len(found):
+            branches.sort(key=lambda br: (br.return_time, br.lo))
+        masses = [Fraction(num, den) for num, den in bins[: found[-1][0] + 1]]
         return InducedMap(
             base=self,
             base_cell=base_cell,
             branches=tuple(branches),
             depth_cap=depth_cap,
-            residual_mass=residual,
+            residual_mass=1 - sum(masses),
+            return_masses=tuple(masses),
         )
+
+
+def _excursion_paths(transition, k: int, depth_cap: int, budget: int) -> int:
+    """Number of paths (k, c_1, .., c_{d-1}), d <= depth_cap, c_i != k: those
+    the first-return DFS walks, every return branch among them.
+
+    The count multiplies the indicator row of k by the transition matrix
+    with k's column removed, once per depth, in integers.  It stops once
+    the running total passes the budget.
+    """
+    n = len(transition)
+    ends = [int(j == k) for j in range(n)]  # paths of the current depth, by last cell
+    total = 1
+    for _ in range(depth_cap - 1):
+        if total > budget or not any(ends):
+            break
+        ends = [
+            0 if j == k else sum(ends[i] for i in range(n) if transition[i][j]) for j in range(n)
+        ]
+        total += sum(ends)
+    return total
 
 
 def _recurrent(transition, k: int) -> bool:
@@ -453,14 +511,45 @@ def _recurrent(transition, k: int) -> bool:
 
 @dataclass(frozen=True)
 class InducedBranch:
-    """One first-return branch F = f^R on a cylinder inside the base cell."""
+    """One first-return branch F = f^R on a cylinder inside the base cell.
+
+    Held as its itinerary, the composed inverse H as the integer triple
+    (A, B, C), y -> (A*y + B)/C with C > 0, and the base cell's bounds as
+    (lo num, lo den, hi num, hi den).  `lo`, `hi`, `slope` and `intercept`
+    are exact Fractions built from them on first access.
+    """
 
     itinerary: tuple[int, ...]
-    return_time: int
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
+    triple: tuple[int, int, int]
+    cell: tuple[int, int, int, int]
+
+    @property
+    def return_time(self) -> int:
+        return len(self.itinerary)
+
+    def _end(self, upper: bool) -> Fraction:
+        """H at the base cell's upper or lower bound."""
+        A, B, C = self.triple
+        n, d = self.cell[2:] if upper else self.cell[:2]
+        return Fraction(A * n + B * d, C * d)
+
+    @cached_property
+    def lo(self) -> Fraction:
+        return self._end(self.triple[0] < 0)
+
+    @cached_property
+    def hi(self) -> Fraction:
+        return self._end(self.triple[0] > 0)
+
+    @cached_property
+    def slope(self) -> Fraction:
+        A, _, C = self.triple
+        return Fraction(C, A)
+
+    @cached_property
+    def intercept(self) -> Fraction:
+        A, B, _ = self.triple
+        return Fraction(-B, A)
 
     def forward(self, x):
         return self.slope * x + self.intercept
@@ -472,38 +561,40 @@ class InducedBranch:
 
 @dataclass(frozen=True)
 class InducedMap:
-    """First-return system F = f^R to one partition cell, depth-capped."""
+    """First-return system F = f^R to one partition cell, depth-capped.
+
+    `return_masses[n]` is m(R = n) over the base cell's length, for
+    n = 0..max_return_time, summed in integers during the enumeration.
+    """
 
     base: ExpandingMarkovMap
     base_cell: int
     branches: tuple[InducedBranch, ...]
     depth_cap: int
     residual_mass: Fraction
+    return_masses: tuple[Fraction, ...]
 
     @property
     def max_return_time(self) -> int:
-        return max(b.return_time for b in self.branches)
+        return len(self.return_masses) - 1
 
     @cached_property
     def _tail_sums(self) -> list[Fraction]:
-        """Unnormalised m(R >= n) for n = 0..max_return_time.
+        """m(R >= n) over the cell's length for n = 0..max_return_time.
 
-        Branch measures are binned by return time in one pass, then summed
-        from the deepest bin up; Fraction sums are exact in any order.
+        Summed from the deepest of the per-return-time masses up, one
+        Fraction addition per return time; no branch is read.
         """
-        bins = [Fraction(0)] * (self.max_return_time + 1)
-        for b in self.branches:
-            bins[b.return_time] += b.measure
-        for n in range(len(bins) - 2, -1, -1):
-            bins[n] += bins[n + 1]
-        return bins
+        sums = list(self.return_masses)
+        for n in range(len(sums) - 2, -1, -1):
+            sums[n] += sums[n + 1]
+        return sums
 
     def _tail(self, n: int) -> Fraction:
         """m(R >= n) normalised to the base cell, residual mass included."""
         sums = self._tail_sums
-        cell = self.base.branches[self.base_cell]
         mass = sums[n] if n < len(sums) else Fraction(0)
-        return mass / (cell.hi - cell.lo) + self.residual_mass
+        return mass + self.residual_mass
 
     @property
     def excursion_mass(self) -> Fraction:

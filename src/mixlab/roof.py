@@ -9,6 +9,8 @@ perturbation used to force a witness.
 Roofs built from rational polynomial data evaluate exactly on Fraction
 inputs, by Horner's rule in integers, and the witness search then reports
 exact rational gaps.  Verdicts never hinge on float roundoff for such roofs.
+Such a roof also keeps its coefficient table, and the witness search sums a
+closed orbit's roof values from it in integers, one Fraction per orbit.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ class RoofFunction:
     (a bound on |D(r o h)| over every inverse branch h) are certified by
     the builder from the roof's own data, by an exact Bernstein enclosure
     or a closed form, and are never taken from a caller.
+
+    `cell_coefficients` is the exact table (c0, c1, ...) of the polynomial
+    on each partition cell, set by the polynomial builders only when every
+    coefficient is rational, and None for any other roof.  `value` must
+    agree with it wherever it is set: a wrapper that records the calls
+    keeps it, and a change of the function (`perturb_bump`) drops it.
     """
 
     base: ExpandingMarkovMap
@@ -53,6 +61,7 @@ class RoofFunction:
     upper_bound: float
     branch_lipschitz: float
     exact: bool = False
+    cell_coefficients: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
         if not self.lower_bound > 0:
@@ -73,6 +82,23 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
+def _integer_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """Fraction coefficient lists (c0, c1, ..) as integers over one denominator.
+
+    Returns the common denominator D and, per list, D c_n, .., D c_0,
+    highest degree first, padded with zeros to one degree n for all lists.
+    No coefficients at all is the zero polynomial [0], which the enclosure
+    then rejects.
+    """
+    den = math.lcm(*(c.denominator for cs in table for c in cs))
+    width = max(1, *map(len, table))
+    rows = [
+        [0] * (width - len(cs)) + [c.numerator * (den // c.denominator) for c in reversed(cs)]
+        for cs in table
+    ]
+    return den, rows
+
+
 def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
     """Scalar evaluator of c0 + c1 x + ... for a roof's `value`.
 
@@ -83,9 +109,7 @@ def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
     """
     if not exact:
         return lambda x: _horner(coeffs, x)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    # no coefficients is the zero polynomial, which the enclosure then rejects
-    top, *rest = [c.numerator * (den // c.denominator) for c in reversed(coeffs)] or [0]
+    den, [[top, *rest]] = _integer_table([coeffs])
 
     def value(x):
         if not isinstance(x, Rational):
@@ -98,6 +122,36 @@ def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
         return Fraction(acc, den * qk)
 
     return value
+
+
+def _lap_sum(table: Sequence[Sequence[Fraction]]) -> Callable:
+    """Exact sum of an exact per-cell polynomial roof along an `orbit_walk`.
+
+    Each point p/q in cell k adds D q^n r_k(p/q), by the same integer
+    Horner rule as `_polynomial_value` with one common denominator D and
+    degree n for every cell.  The walk's denominators divide one another,
+    so the running sum is rescaled by (q'/q)^n whenever q grows, and the
+    lap is one Fraction S / (D q^n) at the end.
+    """
+    den, rows = _integer_table(table)
+    degree = len(rows[0]) - 1
+    rows = [(row[0], row[1:]) for row in rows]
+
+    def lap(walk) -> Fraction:
+        total, q_lap = 0, walk[0][2]
+        powers = [q_lap**j for j in range(1, degree + 1)]
+        for k, p, q in walk:
+            if q != q_lap:
+                total *= (q // q_lap) ** degree
+                q_lap, powers = q, [q**j for j in range(1, degree + 1)]
+            top, rest = rows[k]
+            acc = top
+            for c, qk in zip(rest, powers):
+                acc = acc * p + c * qk
+            total += acc
+        return Fraction(total, den * q_lap**degree)
+
+    return lap
 
 
 def _bernstein(coeffs: Sequence, lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -158,7 +212,9 @@ def _polynomial_roof(base: ExpandingMarkovMap, table, value, value_many, exact) 
     derivs = [[k * c for k, c in enumerate(cs)][1:] for cs in table]
     d_inf, d_sup = _enclose([_bernstein(ds, lo, hi) for ds, (lo, hi) in zip(derivs, cells)])
     lipschitz = max(-d_inf, d_sup) * base.expansion_bound
-    return RoofFunction(base, value, value_many, inf, sup, lipschitz, exact)
+    return RoofFunction(
+        base, value, value_many, inf, sup, lipschitz, exact, tuple(table) if exact else None
+    )
 
 
 def polynomial_roof(base: ExpandingMarkovMap, coeffs: Sequence) -> RoofFunction:
@@ -359,22 +415,33 @@ def witness_search(
     with a gap wins; within it the largest gap, ties broken by smallest
     itinerary pair.  Groups whose sums span no more than the threshold
     are skipped before any pair is compared.
+
+    Each orbit is walked once, on integer numerators (`orbit_walk`).  A
+    roof with `cell_coefficients` sums the lap from that table in integers
+    over one common denominator and builds one Fraction for it; any other
+    roof (bumped, cosine, float coefficients) sums `roof.value` over the
+    orbit points.
     """
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
     m = roof.base
+    lap_sum = _lap_sum(roof.cell_coefficients) if roof.cell_coefficients else None
 
     # (word, first point, one-lap sum, one-lap visit counts) per minimal period
     classes: dict[int, list] = {}
     for q in range(1, max_period + 1):
         rows = []
         for word in enumerate_cyclic_classes(m, q):
-            orbit = m.periodic_orbit(word)
-            if orbit is None:
+            walk = m.orbit_walk(word)
+            if walk is None:
                 continue  # coding touches a cell boundary
-            lap = sum(roof.value(x) for x in orbit)
+            if lap_sum is None:
+                lap = sum(roof.value(Fraction(p, d)) for _, p, d in walk)
+            else:
+                lap = lap_sum(walk)
+            _, p0, d0 = walk[0]
             visits = tuple(word.count(c) for c in range(m.n_cells))
-            rows.append((word, orbit[0], lap, visits))
+            rows.append((word, Fraction(p0, d0), lap, visits))
         classes[q] = rows
 
     for p in range(2, max_period + 1):
@@ -529,4 +596,5 @@ def perturb_bump(
         branch_lipschitz=new_lip,
         exact=exact,
         value_many=value_many,
+        cell_coefficients=None,
     )

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifact layout, and determinism across threads."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -231,6 +232,17 @@ def test_tails_exact_masses(tmp_path):
     assert tails[4].split(",") == ["4", "4/9", "0"]
     summary = _read(tmp_path, "tails_summary.csv").decode()
     assert "alpha," in summary and "excursion_mass," in summary
+
+
+def test_tails_without_depth_cap_exits_two_before_enumerating(tmp_path, capsys):
+    # the default cap of 40 would walk 2^40 - 1 excursion paths out of cell 0;
+    # counting them from the transition matrix refuses the run at once
+    text = THREE_BRANCH.replace("depth_cap = 12\n", "")
+    t0 = time.perf_counter()
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "DepthOverflow" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tails.csv").exists()
 
 
 def _roof_upper_of_tails_fit(tmp_path):

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from mixlab.errors import (
     BoundaryPoint,
+    DepthOverflow,
     InadmissibleItinerary,
     InexactBranch,
     InsufficientDepth,
     NoReturn,
 )
 from mixlab.markov_maps import (
+    RETURN_PATH_BUDGET,
     AffineBranch,
     ExpandingMarkovMap,
+    _excursion_paths,
     doubling_map,
     expanding_circle_map,
     low_discrepancy,
@@ -440,7 +443,13 @@ def _resummed_tails(induced):
 
 
 @pytest.mark.parametrize(
-    "m, cell, cap", [(three_branch_map(), 0, 12), (three_branch_map(), 1, 8), (doubling_map(), 0, 10)]
+    "m, cell, cap",
+    [
+        (three_branch_map(), 0, 12),
+        (three_branch_map(), 1, 8),
+        (doubling_map(), 0, 10),
+        (_tent_map(), 0, 6),
+    ],
 )
 def test_tail_masses_match_per_level_resumming(m, cell, cap):
     induced = m.induce_first_return(cell, depth_cap=cap)
@@ -467,6 +476,31 @@ def test_first_return_branches_compose_the_path():
             x, cell = m.evaluate(x)
             assert cell == k
         assert x == br.forward((br.lo + br.hi) / 2)
+
+
+@pytest.mark.parametrize("m", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_excursion_path_count_matches_enumeration(m):
+    # every path (k, c_1, .., c_{d-1}) with c_i != k along allowed transitions
+    for k in range(m.n_cells):
+        others = [j for j in range(m.n_cells) if j != k]
+        for cap in range(1, 6):
+            walked = sum(
+                all(m.admissible(a, b) for a, b in zip((k, *tail), tail))
+                for d in range(cap)
+                for tail in itertools.product(others, repeat=d)
+            )
+            assert _excursion_paths(m.transition, k, cap, RETURN_PATH_BUDGET) == walked
+
+
+def test_first_return_past_the_path_budget_is_refused_before_enumerating():
+    # three_branch's cell 0 walks 2^cap - 1 paths: cap 17 fits the budget, 18 does not
+    m = three_branch_map()
+    assert _excursion_paths(m.transition, 0, 17, RETURN_PATH_BUDGET) == 2**17 - 1
+    assert 2**17 - 1 <= RETURN_PATH_BUDGET < 2**18 - 1
+    with pytest.raises(DepthOverflow, match="excursion paths"):
+        m.induce_first_return(0, depth_cap=18)
+    with pytest.raises(DepthOverflow):
+        m.induce_first_return(0, depth_cap=10**6)
 
 
 def test_insufficient_depth_raised_on_shallow_cap():

@@ -158,22 +158,35 @@ def _all_pairs_witness(roof, max_period, threshold=WITNESS_THRESHOLD):
     return CohomologyReport(None, max_period, "NoWitnessUpToPeriod")
 
 
+def _bumped_xsq(center):
+    # 1 + x^2 plus a bump of height 1/2 and radius 1/60; the period-4 witness
+    # orbits are 0011 through 1/5 and 0101 through 1/3
+    return perturb_bump(xsq_roof(), center, Fraction(1, 60), Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
-    "roof, max_period, found",
+    "roof, max_period, gap",
     [
-        (xsq_roof(), 4, True),
-        (polynomial_roof(doubling_map(), (1.0, 0.0, 1.0)), 4, True),
-        (polynomial_roof(doubling_map(), (Fraction(1), Fraction(1))), 12, False),
-        (constant_roof(three_branch_map(), Fraction(3, 2)), 6, False),
+        (xsq_roof(), 4, GAP),
+        (polynomial_roof(doubling_map(), (1.0, 0.0, 1.0)), 4, GAP),
+        (polynomial_roof(doubling_map(), (Fraction(1), Fraction(1))), 12, None),
+        (constant_roof(three_branch_map(), Fraction(3, 2)), 6, None),
+        # on the 0001 orbit through 1/15 only: the witness keeps its gap
+        (_bumped_xsq(Fraction(1, 15)), 4, GAP),
+        # on 0011's point 1/5: its lap gains the bump's peak
+        (_bumped_xsq(Fraction(1, 5)), 4, GAP + Fraction(1, 2)),
     ],
-    ids=["one_plus_x_squared", "float_one_plus_x_squared", "one_plus_x", "constant_three_branch"],
+    ids=[
+        "one_plus_x_squared", "float_one_plus_x_squared", "one_plus_x", "constant_three_branch",
+        "bump_off_witness", "bump_on_witness",
+    ],
 )
-def test_witness_search_matches_all_pairs_oracle(roof, max_period, found):
+def test_witness_search_matches_all_pairs_oracle(roof, max_period, gap):
     report = witness_search(roof, max_period)
     assert report == _all_pairs_witness(roof, max_period)
-    assert report.found == found
+    assert report.found == (gap is not None)
     if report.found and roof.exact:
-        assert report.witness.gap == GAP
+        assert report.witness.gap == gap
 
 
 @given(
