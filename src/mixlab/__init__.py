@@ -68,7 +68,6 @@ from .suspension import (
     correlation,
     default_observables,
     fit_rate,
-    flow_to,
     suspend,
     svg_log_plot,
     temporal_distance,

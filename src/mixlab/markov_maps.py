@@ -397,7 +397,7 @@ class ExpandingMarkovMap:
         and each return time's mass is summed in integers as the paths
         return.  Before any branch is built the number of excursion paths is
         counted from the transition matrix, and DepthOverflow is raised when
-        it exceeds RETURN_PATH_BUDGET.
+        it exceeds RETURN_PATH_BUDGET, naming the largest depth_cap within it.
         """
         if not 0 <= base_cell < self.n_cells:
             raise ValueError("base_cell out of range")
@@ -405,11 +405,17 @@ class ExpandingMarkovMap:
             raise ValueError("depth_cap must be >= 1")
         if not _recurrent(self.transition, base_cell):
             raise NoReturn(f"cell {base_cell} is not recurrent under the transition matrix")
-        paths = _excursion_paths(self.transition, base_cell, depth_cap, RETURN_PATH_BUDGET)
-        if paths > RETURN_PATH_BUDGET:
+        def paths(cap: int) -> int:
+            return _excursion_paths(self.transition, base_cell, cap, RETURN_PATH_BUDGET)
+
+        if paths(depth_cap) > RETURN_PATH_BUDGET:
+            # the count grows with the cap, and cap 1 walks the single path (base_cell,)
+            fits = 1
+            while paths(fits + 1) <= RETURN_PATH_BUDGET:
+                fits += 1
             raise DepthOverflow(
                 f"first return to cell {base_cell} walks more than {RETURN_PATH_BUDGET} "
-                f"excursion paths by depth {depth_cap}; lower depth_cap"
+                f"excursion paths by depth {depth_cap}; lower depth_cap to at most {fits}"
             )
 
         cell = self._cells_q[base_cell]

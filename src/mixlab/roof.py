@@ -227,12 +227,23 @@ def polynomial_roof(base: ExpandingMarkovMap, coeffs: Sequence) -> RoofFunction:
     exact = all(_is_rational(c) for c in coeffs)
     cs = tuple(Fraction(c) for c in coeffs) if exact else tuple(float(c) for c in coeffs)
     value = _polynomial_value(cs, exact)
-    fcs = np.asarray([float(c) for c in cs])
+    fcs = tuple(float(c) for c in cs)
 
     def value_many(xs):
-        return np.polynomial.polynomial.polyval(np.asarray(xs, dtype=float), fcs)
+        return _horner_many(np.asarray(xs, dtype=float), fcs)
 
     return _polynomial_roof(base, [cs] * base.n_cells, value, value_many, exact)
+
+
+def _horner_many(xs: np.ndarray, fcs) -> np.ndarray:
+    """numpy.polynomial.polynomial.polyval(xs, fcs) for a float array xs and a
+    flat coefficient list: its Horner steps, from its c[-1] + x*0 start, run
+    in place without its argument handling."""
+    out = fcs[-1] + xs * 0
+    for c in fcs[-2::-1]:
+        out *= xs
+        out += c
+    return out
 
 
 def per_branch_polynomial_roof(
@@ -257,7 +268,7 @@ def per_branch_polynomial_roof(
     def value(x):
         return cell_values[base.cell_index(x)](x)
 
-    ftable = [np.asarray([float(c) for c in cs]) for cs in table]
+    ftable = [tuple(float(c) for c in cs) for cs in table]
     inner_edges = np.asarray([float(e) for e in base.edges[1:-1]])
 
     def value_many(xs):
@@ -267,7 +278,7 @@ def per_branch_polynomial_roof(
         for k, fcs in enumerate(ftable):
             mask = cells == k
             if mask.any():
-                out[mask] = np.polynomial.polynomial.polyval(xs[mask], fcs)
+                out[mask] = _horner_many(xs[mask], fcs)
         return out
 
     return _polynomial_roof(base, table, value, value_many, exact)
@@ -449,8 +460,9 @@ def witness_search(
         for q in _divisors(p):
             reps = p // q
             for word, x0, lap, visits in classes[q]:
-                key = tuple(v * reps for v in visits)
-                groups.setdefault(key, []).append((word * reps, x0, lap * reps))
+                if reps > 1:  # one lap is used as it stands, with no copy
+                    word, lap, visits = word * reps, lap * reps, tuple(v * reps for v in visits)
+                groups.setdefault(visits, []).append((word, x0, lap))
         best = None
         for members in groups.values():
             if len(members) < 2:

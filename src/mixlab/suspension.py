@@ -2,7 +2,7 @@
 
 A suspension places a point (w, u) under a roof r and flows it upward at
 unit speed; hitting the roof applies the base dynamics and resets u.  The
-module provides exact and vectorized flow advancement, a seeded sampler
+module provides vectorized flow advancement, a seeded sampler
 for the normalized invariant measure, Monte Carlo correlation series with
 batch-means error bars, a log-linear decay-rate fit with an explicit noise
 floor, and the temporal-distance functional whose vanishing characterizes
@@ -97,78 +97,36 @@ def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = No
 # ---------------------------------------------------------------------------
 # flow advancement
 
-def flow_to(susp: SuspensionSemiflow, point, t):
-    """Advance one phase point by time t >= 0.
-
-    `point` is (x, u) over a map base and ((x, z), u) over a skew base.
-    Rational data over an exact roof flow exactly; orbits that land on a
-    partition boundary raise BoundaryPoint.
-    """
-    w, u = point
-    sk = susp.skew
-    if sk is not None:
-        x, z = w
-    else:
-        x, z = w, None
-    bm = susp.base_map
-
-    exact = (
-        susp.roof.exact
-        and isinstance(x, Rational)
-        and isinstance(u, Rational)
-        and isinstance(t, Rational)
-    )
-    if exact:
-        x, u, t = Fraction(x), Fraction(u), Fraction(t)
-    else:
-        x, u, t = float(x), float(u), float(t)
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    r = susp.roof.value(x)
-    if not 0 <= u < r:
-        raise ValueError("phase point must satisfy 0 <= u < r(x)")
-
-    u = u + t
-    guard = int(float(t) / float(susp.roof.lower_bound)) + 2
-    while u >= r:
-        guard -= 1
-        if guard < 0:
-            raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
-        u = u - r
-        if sk is not None:
-            z = sk.fiber_map(x, z)
-        x = bm.evaluate(x)[0]
-        r = susp.roof.value(x)
-    if sk is not None:
-        return ((x, z), u)
-    return (x, u)
-
-
-def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, live, dt: float, roof_many: Callable):
+def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: Callable):
     """In-place vectorized advance of a state batch by dt.
 
     The state is (x, z, u, r) with r equal to roof_many(x) elementwise; a
     point's roof changes only when it crosses, so r is refreshed at the
-    crossed indices alone and the invariant holds again on return.  `live`
-    is a boolean buffer of the batch's length that the step overwrites.
+    crossed indices alone and the invariant holds again on return.  Each
+    round of crossings gathers the crossing points once, moves them in the
+    gathered arrays and scatters them back once; the next round takes only
+    those still at or above their new roof.
     """
     bm = susp.base_map
     sk = susp.skew
     u += dt
-    np.greater_equal(u, r, out=live)
+    idx = np.flatnonzero(u >= r)
     guard = int(dt / float(susp.roof.lower_bound)) + 2
-    while live.any():
+    while len(idx):
         guard -= 1
         if guard < 0:
             raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
-        idx = np.nonzero(live)[0]
-        u[idx] -= r[idx]
+        xi = x[idx]
+        ui = u[idx]
+        ui -= r[idx]
         if sk is not None:
-            z[idx] = sk.fiber_map(x[idx], z[idx])
-        moved = bm.evaluate_many(x[idx])
-        x[idx] = moved
-        r[idx] = roof_many(moved)
-        live[idx] = u[idx] >= r[idx]
+            z[idx] = sk.fiber_map(xi, z[idx])
+        xi = bm.evaluate_many(xi)
+        ri = roof_many(xi)
+        x[idx] = xi
+        u[idx] = ui
+        r[idx] = ri
+        idx = idx[ui >= ri]
     return x, z, u
 
 
@@ -334,7 +292,6 @@ def correlation(
         rng = np.random.default_rng([int(seed), int(b)])
         x, z, u = _sample_arrays(susp, rng, per_batch, fiber_depth)
         r = roof_many(x)
-        live = np.empty(per_batch, dtype=bool)
         prod = np.empty(per_batch)
         # a copy: psi may return a view of the state, which the advance overwrites
         psi0 = np.array(_eval_obs(psi, x, u, z), dtype=float)
@@ -343,11 +300,12 @@ def correlation(
         prev = 0.0
         for j, t in enumerate(times):
             if t > prev:
-                x, z, u = _advance_arrays(susp, x, z, u, r, live, t - prev, roof_many)
+                x, z, u = _advance_arrays(susp, x, z, u, r, t - prev, roof_many)
                 prev = t
             ph = np.asarray(_eval_obs(phi, x, u, z), dtype=float)
-            prod_means[j] = float(np.mean(np.multiply(ph, psi0, out=prod)))
-            phi_means[j] = float(np.mean(ph))
+            # np.mean's own sum and division, without its wrapper
+            prod_means[j] = np.add.reduce(np.multiply(ph, psi0, out=prod)) / per_batch
+            phi_means[j] = np.add.reduce(ph, axis=None) / ph.size
         return prod_means, phi_means, float(np.mean(psi0))
 
     results = _map_batches(run_batch, n_batches, min(threads, n_batches))

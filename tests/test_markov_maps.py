@@ -503,6 +503,14 @@ def test_first_return_past_the_path_budget_is_refused_before_enumerating():
         m.induce_first_return(0, depth_cap=10**6)
 
 
+@pytest.mark.parametrize("cap", [18, 40, 10**6])
+def test_path_budget_refusal_names_the_largest_cap_that_fits(cap):
+    # three_branch's cell 0: cap 17 walks 2^17 - 1 paths, the most the budget admits
+    m = three_branch_map()
+    with pytest.raises(DepthOverflow, match=r"lower depth_cap to at most 17$"):
+        m.induce_first_return(0, depth_cap=cap)
+
+
 def test_insufficient_depth_raised_on_shallow_cap():
     induced = three_branch_map().induce_first_return(0, depth_cap=3)
     with pytest.raises(InsufficientDepth):

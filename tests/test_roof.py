@@ -483,6 +483,10 @@ def test_polynomial_roof_value_is_horner_exactly(coeffs):
     cs = tuple(Fraction(c) for c in coeffs)
     for x in _value_probes(roof.base):
         _assert_same_value(roof.value(x), _horner(cs, x))
+    # the float path is numpy's polyval, bit for bit
+    xs = np.array([float(x) for x in _value_probes(roof.base)])
+    want = np.polynomial.polynomial.polyval(xs, [float(c) for c in cs])
+    assert roof.value_many(xs).tobytes() == want.tobytes()
 
 
 @given(st.lists(st.lists(_COEFF_OR_ZERO, min_size=1, max_size=4), min_size=3, max_size=3))
@@ -493,6 +497,11 @@ def test_per_branch_roof_value_is_horner_exactly(tails):
     m = roof.base
     for x in _value_probes(m):
         _assert_same_value(roof.value(x), _horner(table[m.cell_index(x)], x))
+    # the float path is numpy's polyval, bit for bit, on the float cell search
+    xs = np.array([float(x) for x in _value_probes(m)])
+    cells = np.searchsorted([float(e) for e in m.edges[1:-1]], xs, side="right")
+    want = [np.polynomial.polynomial.polyval(x, [float(c) for c in table[k]]) for x, k in zip(xs, cells)]
+    assert roof.value_many(xs).tobytes() == np.array(want).tobytes()
 
 
 def test_float_coefficients_keep_the_float_horner():

@@ -1,10 +1,13 @@
 """Skew product tests: fiber geometry, disintegration trees, eta integrals."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mixlab.errors import BoundaryPoint, DepthOverflow, NotFullBranch
 from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
+from mixlab import skew_product
 from mixlab.skew_product import (
     AffineFiberFamily,
     Disintegration,
@@ -234,6 +237,59 @@ def test_affine_and_generic_trees_agree():
             )
 
 
+def _level_by_level_leaves(dis, x, origin=None):
+    """Fiber points of the depth-n tree at x, built one whole level at a time.
+
+    Each level is the roots prefix times its transported translation, plus
+    the parent level added to every child slice [i::d]: the same operations
+    on every node as the blocked build, in an order that streams each
+    level through memory whole.
+    """
+    skew = dis.skew
+    start = skew.base_point if origin is None else np.asarray(origin, dtype=float)
+    d = skew.degree
+    roots = dis._roots
+    trans = skew.fiber_map.translation_at(x / float(d) ** np.arange(1, dis.depth + 1))
+    n = d**dis.depth
+    bufs = (np.empty(n, dtype=complex), np.empty(n // d, dtype=complex))
+    tree = np.zeros(1, dtype=complex)
+    scale = 1.0
+    for k in range(dis.depth):
+        out = bufs[(dis.depth - 1 - k) % 2][: d ** (k + 1)]
+        child = np.multiply(roots[: d ** (k + 1)], scale * complex(*trans[k]), out=out)
+        for i in range(d):
+            child[i::d] += tree
+        tree = child
+        scale *= skew.fiber_map.contraction
+    tree += scale * complex(*start)
+    return tree.view(float).reshape(n, 2)
+
+
+# (top nodes, leaves per block): the module's own, then small blocks that
+# split the top level unevenly and leave a short last block
+BLOCKINGS = [(None, None), (8, 50), (27, 1)]
+
+
+@pytest.mark.parametrize("blocking", BLOCKINGS, ids=["module", "8-50", "27-1"])
+@pytest.mark.parametrize(
+    "degree, depth", [(2, 6), (2, 10), (2, 13), (2, 18), (3, 7), (3, 9), (5, 5)]
+)
+def test_blocked_tree_is_the_level_by_level_tree(monkeypatch, blocking, degree, depth):
+    # byte-equal leaves and == evaluates below, at and above the top levels
+    top_nodes, block_leaves = blocking
+    if top_nodes is not None:
+        monkeypatch.setattr(skew_product, "_TOP_NODES", top_nodes)
+        monkeypatch.setattr(skew_product, "_BLOCK_LEAVES", block_leaves)
+    dis = Disintegration(_skew(contraction=-0.37, degree=degree), depth=depth)
+    n = degree**depth
+    for x in (0.11, 0.52, 0.93):
+        for origin in (None, np.array([0.3, -0.2])):
+            want = _level_by_level_leaves(dis, x, origin)
+            xs, ws, zs = dis.leaves(x, origin)
+            assert zs.shape == (n, 2) and zs.tobytes() == want.tobytes()
+            assert dis.evaluate(x, _coord, origin) == float(np.dot(np.full(n, 1.0 / n), want[:, 0]))
+
+
 def test_boundary_point_rejected():
     dis = Disintegration(_skew(), depth=4)
     with pytest.raises(BoundaryPoint):
@@ -257,3 +313,39 @@ def test_eta_integral_agrees_with_forward_sandwich():
     assert sw.gap == pytest.approx(0.5**depth * 2.0)
     slack = sw.gap / 2.0 + 5.0 * sw.stat_error + 0.01
     assert abs(integral - sw.midpoint) <= slack
+
+
+def _unblocked_sandwich(skew, v, depth, fiber_lipschitz, samples, seed):
+    """sandwich_estimate with every step pushed through the whole sample at once."""
+    base = skew.base
+    ball = skew.fiber_space
+    pad = skew.kappa**depth * fiber_lipschitz * ball.radius
+    lo_b, hi_b = float(base.domain_lo), float(base.domain_hi)
+    rng = np.random.default_rng([seed])
+    y = lo_b + (hi_b - lo_b) * rng.random(samples)
+    zs = np.tile(ball.center, (samples, 1)).astype(float)
+    for _ in range(depth):
+        zs = skew.fiber_map(y, zs)
+        y = base.evaluate_many(y)
+    vals = np.asarray(v(y, zs), dtype=float)
+    mean = float(vals.mean())
+    err = float(vals.std(ddof=1) / math.sqrt(samples))
+    return mean - pad, mean + pad, err
+
+
+def test_blocked_sandwich_is_the_unblocked_push():
+    # 20_001 samples leave a short last block; v still reads the whole sample once
+    skew = _skew(contraction=-0.37, degree=3)
+    calls = []
+
+    def coord(xs, zs):
+        calls.append((np.shape(xs), np.shape(zs)))
+        return zs[..., 0] * (1.0 + xs)
+
+    samples = 20_001
+    assert samples % skew_product._PUSH_BLOCK
+    sw = sandwich_estimate(skew, coord, depth=12, fiber_lipschitz=2.0, samples=samples, seed=5)
+    assert calls == [((samples,), (samples, 2))]
+    want = _unblocked_sandwich(skew, coord, 12, 2.0, samples, 5)
+    assert (sw.lower, sw.upper, sw.stat_error) == want
+

@@ -6,6 +6,7 @@ import os
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from mixlab.suspension import (
     correlation,
     default_observables,
     fit_rate,
+    _advance_arrays,
     _sample_arrays,
-    flow_to,
     suspend,
     svg_log_plot,
     temporal_distance,
@@ -50,6 +51,53 @@ def _solenoid_susp():
 
 
 # -- flow --------------------------------------------------------------------
+
+
+def flow_to(susp, point, t):
+    """Advance one phase point by time t >= 0, one crossing at a time.
+
+    `point` is (x, u) over a map base and ((x, z), u) over a skew base.
+    Rational data over an exact roof flow exactly; orbits that land on a
+    partition boundary raise BoundaryPoint.
+    """
+    w, u = point
+    sk = susp.skew
+    if sk is not None:
+        x, z = w
+    else:
+        x, z = w, None
+    bm = susp.base_map
+
+    exact = (
+        susp.roof.exact
+        and isinstance(x, Rational)
+        and isinstance(u, Rational)
+        and isinstance(t, Rational)
+    )
+    if exact:
+        x, u, t = Fraction(x), Fraction(u), Fraction(t)
+    else:
+        x, u, t = float(x), float(u), float(t)
+    if t < 0:
+        raise ValueError("flow time must be nonnegative")
+    r = susp.roof.value(x)
+    if not 0 <= u < r:
+        raise ValueError("phase point must satisfy 0 <= u < r(x)")
+
+    u = u + t
+    guard = int(float(t) / float(susp.roof.lower_bound)) + 2
+    while u >= r:
+        guard -= 1
+        if guard < 0:
+            raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
+        u = u - r
+        if sk is not None:
+            z = sk.fiber_map(x, z)
+        x = bm.evaluate(x)[0]
+        r = susp.roof.value(x)
+    if sk is not None:
+        return ((x, z), u)
+    return (x, u)
 
 
 def test_flow_semigroup_exact():
@@ -112,6 +160,82 @@ def test_flow_over_skew_base_carries_fiber():
     assert u == pytest.approx(0.0, abs=1e-12)
     assert z.shape == (2,)
     assert np.linalg.norm(z) <= 0.3 + 1e-12  # image radius of the model
+
+
+def _advance_by_mask(susp, x, z, u, r, live, dt, roof_many):
+    """The batch advance with one boolean mask over the whole batch: each
+    crossing round scans the mask, moves the points it marks in place and
+    marks again those still at or above their roof."""
+    bm = susp.base_map
+    sk = susp.skew
+    u += dt
+    np.greater_equal(u, r, out=live)
+    guard = int(dt / float(susp.roof.lower_bound)) + 2
+    while live.any():
+        guard -= 1
+        if guard < 0:
+            raise CrossingBudgetExceeded("crossing count exceeded the roof lower-bound budget")
+        idx = np.nonzero(live)[0]
+        u[idx] -= r[idx]
+        if sk is not None:
+            z[idx] = sk.fiber_map(x[idx], z[idx])
+        moved = bm.evaluate_many(x[idx])
+        x[idx] = moved
+        r[idx] = roof_many(moved)
+        live[idx] = u[idx] >= r[idx]
+    return x, z, u
+
+
+def _float_xsq_susp(degree):
+    base = expanding_circle_map(degree)
+    return suspend(base, polynomial_roof(base, (1.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "make, dt",
+    [
+        (lambda: _float_xsq_susp(2), 4.5),
+        (lambda: _float_xsq_susp(3), 4.5),
+        (_solenoid_susp, 2.5),
+    ],
+    ids=["doubling-1+x2", "tripling-1+x2", "solenoid"],
+)
+def test_gathered_advance_is_the_masked_advance(make, dt):
+    # the roof is at most 2 (1 on the solenoid), so every point crosses at
+    # least twice per step; both routes agree bit for bit after every step
+    susp = make()
+    roof_many = susp.roof.value_many
+    rounds = []
+
+    def counted_roof(xs):
+        rounds.append(len(xs))
+        return roof_many(xs)
+
+    x, z, u = _sample_arrays(susp, np.random.default_rng(8), 3000)
+    r = roof_many(x)
+    ox, oz, ou, orr = x.copy(), None if z is None else z.copy(), u.copy(), r.copy()
+    live = np.empty(len(x), dtype=bool)
+    for _ in range(200):
+        rounds.clear()
+        x, z, u = _advance_arrays(susp, x, z, u, r, dt, counted_roof)
+        ox, oz, ou = _advance_by_mask(susp, ox, oz, ou, orr, live, dt, roof_many)
+        assert len(rounds) >= 2 and rounds[1] == len(x)
+        assert x.tobytes() == ox.tobytes() and u.tobytes() == ou.tobytes()
+        assert r.tobytes() == orr.tobytes()
+        assert z is None or z.tobytes() == oz.tobytes()
+
+
+def test_gathered_advance_crosses_again_on_landing_on_the_roof():
+    # u = 0 under the unit roof flows to 2: the first crossing leaves u = 1 =
+    # r, which is on the roof, so the point crosses a second time
+    susp = _const_susp()
+    x = np.array([0.1, 0.3, 0.7])
+    x0 = x.copy()
+    u = np.zeros(3)
+    r = susp.roof.value_many(x)
+    _advance_arrays(susp, x, None, u, r, 2.0, susp.roof.value_many)
+    assert np.all(u == 0.0)
+    assert x.tobytes() == doubling_map().evaluate_many(doubling_map().evaluate_many(x0)).tobytes()
 
 
 # -- sampling and correlation -------------------------------------------------
