@@ -211,6 +211,7 @@ def check_constant_roof(seed: int = 42, threads: int = 1) -> CheckResult:
     def phase_wave(x, u):
         return np.cos(2.0 * np.pi * u)
 
+    phase_wave.omega = 2.0 * np.pi
     times = np.round(np.arange(0.0, 30.0 + 1e-9, 0.1), 10)
     series = correlation(
         susp, phase_wave, phase_wave, times=times, samples=1_000_000, seed=seed, threads=threads
@@ -535,8 +536,10 @@ def check_determinism(seed: int = 42, threads: int = 1) -> CheckResult:
 
     Reduced-scale sibling of the shell-level check (`mixlab repro` run
     under --threads 1 and --threads 8 must emit byte-identical CSVs);
-    the full comparison lives in the test suite, this row guards the one
-    code path where a thread count could leak into results.
+    the full comparison lives in the test suite.  This row guards the
+    event-driven route of `correlation`, the one every declared observable
+    (``height_mix`` here) takes, and the place where a worker count could
+    leak into results; the per-step route has its own test.
     """
     t0 = time.perf_counter()
     base = doubling_map()

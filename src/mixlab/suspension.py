@@ -8,6 +8,11 @@ batch-means error bars, a log-linear decay-rate fit with an explicit noise
 floor, and the temporal-distance functional whose vanishing characterizes
 roofs cohomologous to locally constant ones.
 
+An observable that declares its height frequency (``phi.omega``, see
+`correlation`) is read once per sample and then only where a sample crosses
+the roof; between crossings its correlation sums move by a rotation alone.
+Any other callable is read at every sample on every grid step.
+
 All randomness is generated per batch from ``default_rng([seed, batch])``
 and batches are merged in index order, so results are byte-identical for
 any worker count.  `correlation` spreads its batches over worker processes
@@ -106,11 +111,14 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
     round of crossings gathers the crossing points once, moves them in the
     gathered arrays and scatters them back once; the next round takes only
     those still at or above their new roof.
+
+    Returns the indices of the points that crossed at least once: the first
+    round's, which hold every later round's.
     """
     bm = susp.base_map
     sk = susp.skew
     u += dt
-    idx = np.flatnonzero(u >= r)
+    crossed = idx = np.flatnonzero(u >= r)
     guard = int(dt / float(susp.roof.lower_bound)) + 2
     while len(idx):
         guard -= 1
@@ -127,7 +135,7 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
         u[idx] = ui
         r[idx] = ri
         idx = idx[ui >= ri]
-    return x, z, u
+    return crossed
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +273,22 @@ def correlation(
     The batch layout depends only on (samples, batch_size, seed), so the
     thread count never changes the output.
 
+    `phi` may declare its height frequency as a float attribute ``omega``,
+    a promise that phi(x, u, z) = phi(x, 0, z) cos(omega u) for
+    0 <= u < r(x).  Between two roof crossings a sample's lap start tau
+    stays fixed, and cos(omega (t - tau)) = Re(e^{i omega t} e^{-i omega tau}),
+    so such a phi is read once per sample and then only at the samples
+    that crossed in a step (see `_event_means`).  Each batch first checks
+    the promise on its initial sample and raises ValueError, naming phi,
+    when phi(x, u, z) and phi(x, 0, z) cos(omega u) differ by more than
+    1e-9 max(1, max |phi(x, 0, z)|).  A phi without ``omega`` is evaluated
+    at every sample on every grid step.  The two routes agree to rounding,
+    not bit for bit.  The event route's means are numpy's pairwise sums
+    (``np.add.reduce``), not BLAS dot products, whose summation order may
+    follow the BLAS thread count, so a batch's bytes never depend on the
+    process that runs it.  A ``functools.wraps`` wrapper copies ``omega``
+    with the function's ``__dict__`` and so takes the same route.
+
     `threads` (1 to MAX_THREADS) is the number of worker processes, capped
     at the batch count.  The caller runs batches 0, workers, 2 workers, ...
     itself and workers - 1 children forked from it run the rest (POSIX
@@ -286,33 +310,109 @@ def correlation(
 
     n_batches = max(2, math.ceil(samples / batch_size))
     per_batch = math.ceil(samples / n_batches)
-    roof_many = susp.roof.value_many
+    omega = getattr(phi, "omega", None)
 
     def run_batch(b: int):
         rng = np.random.default_rng([int(seed), int(b)])
         x, z, u = _sample_arrays(susp, rng, per_batch, fiber_depth)
-        r = roof_many(x)
-        prod = np.empty(per_batch)
         # a copy: psi may return a view of the state, which the advance overwrites
         psi0 = np.array(_eval_obs(psi, x, u, z), dtype=float)
-        prod_means = np.empty(len(times))
-        phi_means = np.empty(len(times))
-        prev = 0.0
-        for j, t in enumerate(times):
-            if t > prev:
-                x, z, u = _advance_arrays(susp, x, z, u, r, t - prev, roof_many)
-                prev = t
-            ph = np.asarray(_eval_obs(phi, x, u, z), dtype=float)
-            # np.mean's own sum and division, without its wrapper
-            prod_means[j] = np.add.reduce(np.multiply(ph, psi0, out=prod)) / per_batch
-            phi_means[j] = np.add.reduce(ph, axis=None) / ph.size
-        return prod_means, phi_means, float(np.mean(psi0))
+        if omega is None:
+            means = _step_means(susp, phi, times, x, z, u, psi0)
+        else:
+            means = _event_means(susp, phi, float(omega), times, x, z, u, psi0)
+        return *means, float(np.mean(psi0))
 
     results = _map_batches(run_batch, n_batches, min(threads, n_batches))
     prod = np.stack([r[0] for r in results])
     phim = np.stack([r[1] for r in results])
     psim = np.asarray([r[2] for r in results])
     return CorrelationSeries.from_batches(times, prod, phim, psim, per_batch)
+
+
+def _step_means(susp: SuspensionSemiflow, phi: Callable, times, x, z, u, psi0):
+    """E[phi o X^t . psi] and E[phi o X^t] over one batch, phi read at every grid step."""
+    roof_many = susp.roof.value_many
+    r = roof_many(x)
+    n = len(x)
+    prod = np.empty(n)
+    prod_means = np.empty(len(times))
+    phi_means = np.empty(len(times))
+    prev = 0.0
+    for j, t in enumerate(times):
+        if t > prev:
+            _advance_arrays(susp, x, z, u, r, t - prev, roof_many)
+            prev = t
+        ph = np.asarray(_eval_obs(phi, x, u, z), dtype=float)
+        # np.mean's own sum and division, without its wrapper
+        prod_means[j] = np.add.reduce(np.multiply(ph, psi0, out=prod)) / n
+        phi_means[j] = np.add.reduce(ph, axis=None) / ph.size
+    return prod_means, phi_means
+
+
+def _event_means(susp: SuspensionSemiflow, phi: Callable, omega: float, times, x, z, u, psi0):
+    """The same means for phi(x, u, z) = a(x, z) cos(omega u), phi read only at crossings.
+
+    With tau a sample's lap start (t - u while it stays under the roof),
+    phi o X^t = a cos(omega t) cos(omega tau) + a sin(omega t) sin(omega tau).
+    The rows a cos(omega tau), a sin(omega tau) and their products with
+    psi0 change only where a sample crosses, so each grid step sums four
+    rows and combines the sums with cos(omega t) and sin(omega t).
+    """
+    roof_many = susp.roof.value_many
+    r = roof_many(x)
+    n = len(x)
+    a = np.array(_eval_obs(phi, x, np.zeros(n), z), dtype=float)
+    _check_declaration(phi, omega, a, x, u, z)
+    rows = np.empty((4, n))
+    _start_laps(rows, omega, a, -u, psi0)
+    del a  # peak memory: only crossed samples read phi(x, 0, z) again
+    prod_means = np.empty(len(times))
+    phi_means = np.empty(len(times))
+    prev = 0.0
+    for j, t in enumerate(times):
+        if t > prev:
+            idx = _advance_arrays(susp, x, z, u, r, t - prev, roof_many)
+            prev = t
+            if len(idx):
+                zi = None if z is None else z[idx]
+                ai = np.asarray(_eval_obs(phi, x[idx], np.zeros(len(idx)), zi), dtype=float)
+                lap = np.empty((4, len(idx)))
+                _start_laps(lap, omega, ai, t - u[idx], psi0[idx])
+                rows[:, idx] = lap
+        # pairwise sums: the same bytes in every process, whatever BLAS does
+        ca, sa, pca, psa = np.add.reduce(rows, axis=1)
+        c, s = math.cos(omega * t), math.sin(omega * t)
+        prod_means[j] = (c * pca + s * psa) / n
+        phi_means[j] = (c * ca + s * sa) / n
+    return prod_means, phi_means
+
+
+def _start_laps(out, omega: float, a, tau, psi0) -> None:
+    """Rows a cos(omega tau), a sin(omega tau) and both times psi0, written into out."""
+    phase = omega * tau
+    np.cos(phase, out=out[0])
+    np.sin(phase, out=out[1])
+    out[:2] *= a
+    np.multiply(out[:2], psi0, out=out[2:])
+
+
+def _check_declaration(phi: Callable, omega: float, a, x, u, z) -> None:
+    """Raise ValueError unless phi(x, u, z) = a cos(omega u) on the sample, a = phi(x, 0, z)."""
+    # one scratch buffer: this runs on the whole batch
+    gap = np.multiply(omega, u)
+    np.cos(gap, out=gap)
+    gap *= a
+    np.subtract(_eval_obs(phi, x, u, z), gap, out=gap)
+    np.abs(gap, out=gap)
+    worst = float(np.max(gap, initial=0.0))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if not worst <= tol:
+        name = getattr(phi, "__name__", repr(phi))
+        raise ValueError(
+            f"observable {name} declares omega={omega!r}, but differs from "
+            f"phi(x, 0, z) cos(omega u) by {worst:.3g} (tol {tol:.3g})"
+        )
 
 
 # the batch function of the `correlation` call that forked this worker process
@@ -368,9 +468,13 @@ def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, C
     """Named observable pairs used by the correlation experiments.
 
     The leading pair mixes the flow height with the base coordinate; skew
-    bases add two fiber-dependent pairs.
+    bases add two fiber-dependent pairs.  Each observable declares its
+    height frequency ``omega`` (2 pi / rbar for the two that carry
+    cos(2 pi u / rbar), 0 for fiber_last, which does not read u), so
+    `correlation` reads it only where a sample crosses the roof.
     """
     rbar = susp.mean_roof
+    omega = 2.0 * np.pi / rbar
 
     def height_mix(x, u, z=None):
         # cos(2 pi u / rbar) * (1 + x), the same operations on one buffer
@@ -380,6 +484,7 @@ def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, C
         np.multiply(out, 1.0 + x, out=out)
         return out
 
+    height_mix.omega = omega
     pairs = [("height_mix", height_mix, height_mix)]
     if susp.skew is not None:
 
@@ -389,6 +494,8 @@ def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, C
         def fiber_last(x, u, z):
             return (1.0 + z[..., -1]) * (x - 0.5)
 
+        fiber_first.omega = omega
+        fiber_last.omega = 0.0
         pairs.append(("fiber_first", fiber_first, fiber_first))
         pairs.append(("fiber_last", fiber_last, fiber_last))
     return pairs

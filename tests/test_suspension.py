@@ -1,5 +1,6 @@
 """Suspension semiflow tests: exact flow, correlations, decay fits, distances."""
 
+import functools
 import math
 import multiprocessing
 import os
@@ -217,8 +218,11 @@ def test_gathered_advance_is_the_masked_advance(make, dt):
     live = np.empty(len(x), dtype=bool)
     for _ in range(200):
         rounds.clear()
-        x, z, u = _advance_arrays(susp, x, z, u, r, dt, counted_roof)
+        expected = np.flatnonzero(u + dt >= r)
+        crossed = _advance_arrays(susp, x, z, u, r, dt, counted_roof)
         ox, oz, ou = _advance_by_mask(susp, ox, oz, ou, orr, live, dt, roof_many)
+        # the first round's crossings, which hold every later round's
+        assert crossed.tobytes() == expected.tobytes()
         assert len(rounds) >= 2 and rounds[1] == len(x)
         assert x.tobytes() == ox.tobytes() and u.tobytes() == ou.tobytes()
         assert r.tobytes() == orr.tobytes()
@@ -331,6 +335,89 @@ def test_forked_batches_keep_solenoid_bytes(samples):
         csvs = {correlation(susp, phi, psi, threads=n, **kw).to_csv() for n in (1, 2, 3)}
         assert len(csvs) == 1
     assert multiprocessing.active_children() == []
+
+
+def _base_wave(x, u):
+    return np.sin(2.0 * np.pi * x)
+
+
+_base_wave.omega = 0.0
+_DOUBLING_STEPS = np.arange(0.0, 45.0 + 1e-9, 4.5)
+_SOLENOID_GRID = np.linspace(0.0, 6.0, 25)
+
+
+@pytest.mark.parametrize(
+    "make, pick, times",
+    [
+        pytest.param(lambda: _float_xsq_susp(2), lambda s: default_observables(s)[0][1],
+                     _DOUBLING_STEPS, id="doubling-height_mix"),
+        pytest.param(lambda: _float_xsq_susp(2), lambda s: _base_wave, _DOUBLING_STEPS,
+                     id="doubling-omega-0"),
+    ]
+    + [
+        pytest.param(_solenoid_susp, lambda s, k=k: default_observables(s)[k][1], _SOLENOID_GRID,
+                     id=f"solenoid-{name}")
+        for k, name in enumerate(("height_mix", "fiber_first", "fiber_last"))
+    ],
+)
+def test_event_series_is_the_per_step_series(make, pick, times):
+    # the same function behind a lambda carries no omega, so it takes the
+    # per-step loop; on the doubling grid every point crosses at least
+    # twice per step
+    susp = make()
+    phi = pick(susp)
+    assert isinstance(phi.omega, float)
+    per_step = lambda *args: phi(*args)  # noqa: E731
+    kw = dict(times=times, samples=6000, seed=12, batch_size=2000)
+    event = correlation(susp, phi, phi, **kw)
+    plain = correlation(susp, per_step, per_step, **kw)
+    assert np.max(np.abs(event.values - plain.values)) <= 1e-12
+    assert np.max(np.abs(event.std_errors - plain.std_errors)) <= 1e-12
+    assert np.max(np.abs(plain.values)) > 1e-3
+
+
+def test_wrapped_declared_observable_keeps_bytes():
+    # functools.wraps copies omega with __dict__, so a wrapper takes the same route
+    susp = _xsq_susp()
+    _, phi, _ = default_observables(susp)[0]
+
+    @functools.wraps(phi)
+    def wrapped(*args):
+        return phi(*args)
+
+    assert wrapped.omega == phi.omega
+    kw = dict(times=np.linspace(0.0, 5.0, 51), samples=4000, seed=5, batch_size=1000)
+    bare = correlation(susp, phi, phi, **kw).to_csv()
+    assert correlation(susp, wrapped, wrapped, **kw).to_csv() == bare
+
+
+def _wrong_frequency(susp):
+    # height_mix runs at 2 pi / rbar; this declares pi
+    _, height_mix, _ = default_observables(susp)[0]
+
+    def wrong_frequency(x, u):
+        return height_mix(x, u)
+
+    wrong_frequency.omega = np.pi
+    return wrong_frequency
+
+
+def _height(susp):
+    def height(x, u):
+        return u
+
+    height.omega = 0.0
+    return height
+
+
+@pytest.mark.parametrize(
+    "make_phi", [_wrong_frequency, _height], ids=["wrong-omega", "not-a-cosine"]
+)
+def test_false_frequency_declaration_is_refused(make_phi):
+    susp = _xsq_susp()
+    phi = make_phi(susp)
+    with pytest.raises(ValueError, match=f"observable {phi.__name__} declares omega"):
+        correlation(susp, phi, phi, times=[0.0, 0.5], samples=2000, seed=0)
 
 
 def _fails_in_children(error):
