@@ -434,7 +434,8 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
     grid = [(i + 0.5) / 16 for i in range(16)]
     re_vals, mass_devs = [], []
     for th in grid:
-        # one tree per grid point, read by both observables as evaluate would
+        # one tree per grid point, kept whole by leaves() and read by both
+        # observables through np.dot with its weights (evaluate streams it)
         xs, ws, zs = dis.leaves(th)
         re_vals.append(float(np.dot(ws, re_z(xs, zs))))
         mass_devs.append(abs(float(np.dot(ws, one(xs, zs))) - 1.0))

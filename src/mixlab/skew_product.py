@@ -21,7 +21,11 @@ parent add per node, against one table of d^depth roots of unity.  Its top
 levels, up to _TOP_NODES nodes, are built whole; below them the subtrees of
 a run of top positions are grown together down to _BLOCK_LEAVES leaves, so
 that a 2^20-leaf tree touches each node while its block is in cache instead
-of streaming 16 MB levels through memory.  The forward pushes of
+of streaming 16 MB levels through memory.  evaluate calls v once per block
+and sums the block at once, so beyond the roots table its memory is a few
+blocks, not the tree.  The sum is fixed by the top level, not the blocking:
+each top position's leaves are summed pairwise (np.add.reduce), then those
+d^top sums pairwise, then divided by d^depth.  The forward pushes of
 sandwich_estimate run _PUSH_BLOCK samples through every step at a time for
 the same reason.  Blocking reorders the work, not the arithmetic: every
 node and every sample sees the same operations as the level-by-level and
@@ -142,21 +146,23 @@ def _ball_probes(ball: FiberBall, count: int, seed: int = 12345) -> np.ndarray:
     have = 0
     while have < count:
         cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, d))
-        keep = cand[np.einsum("ij,ij->i", cand, cand) <= 1.0]
-        take = min(len(keep), count - have)
-        out[have : have + take] = keep[:take]
-        have += take
-    return ball.center + ball.radius * out
+        keep = np.flatnonzero(np.einsum("ij,ij->i", cand, cand) <= 1.0)[: count - have]
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(cand, keep, axis=0, out=out[have : have + len(keep)], mode="clip")
+        have += len(keep)
+    out *= ball.radius
+    out += ball.center
+    return out
 
 
 def validate_contraction(skew: HyperbolicSkewProduct, pairs: int = 100_000) -> float:
     """Worst fiber contraction ratio over sampled same-base pairs."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    z1 = _ball_probes(skew.fiber_space, pairs, seed=12345)
-    z2 = _ball_probes(skew.fiber_space, pairs, seed=54321)
+    diff = _ball_probes(skew.fiber_space, pairs, seed=12345)
+    diff -= _ball_probes(skew.fiber_space, pairs, seed=54321)
     # translation cancels on same-base pairs; ratio is |contraction| exactly
-    sep = np.linalg.norm(z1 - z2, axis=1)
+    sep = np.linalg.norm(diff, axis=1)
     ok = sep > 0
     num = abs(skew.fiber_map.contraction) * sep[ok]
     return float(np.max(num / sep[ok]))
@@ -206,6 +212,7 @@ class Disintegration:
     _TOP_NODES nodes whole, then each run of B top positions, with about
     _BLOCK_LEAVES leaves below it, down to the leaves through two small
     buffers, adding the transported origin to the block's leaves last.
+    evaluate reads each block as it is built; only leaves() keeps them all.
     """
 
     skew: HyperbolicSkewProduct
@@ -221,48 +228,86 @@ class Disintegration:
         return self.skew.kappa**self.depth * fiber_lipschitz * self.skew.fiber_space.diameter
 
     def evaluate(self, x, v: Callable, origin: np.ndarray | None = None) -> float:
-        xs, ws, zs = self.leaves(x, origin)
-        return float(np.dot(ws, np.asarray(v(xs, zs), dtype=float)))
+        """eta_x(v), with v called once per block of leaves.
+
+        v sees a read-only broadcast of x and the block's fiber points.
+        Each top position's leaf values are summed pairwise, then the d^top
+        position sums, then divided by d^depth: the value is the same for
+        every blocking, and eta_x(1) is exactly 1.
+        """
+        x = float(x)
+        sums = []
+        for block in self._leaf_blocks(*self._phases(x, origin)):
+            vals = v(np.broadcast_to(x, (block.size,)), block.view(float).reshape(-1, 2))
+            sums.append(np.add.reduce(np.asarray(vals, dtype=float).reshape(block.shape), axis=1))
+        return float(np.add.reduce(np.concatenate(sums)) / self.skew.degree**self.depth)
 
     def leaves(self, x, origin: np.ndarray | None = None):
         """(base points, weights, fiber points) of the depth-n tree at x.
 
+        The whole tree, from the blocks evaluate reads one at a time.
         Every leaf sits over x, so the base points are a read-only
         broadcast of x that len and np.shape see as d^depth long.  The
-        weights, each d^-depth, stay a filled array: np.dot over a
-        stride-0 view costs about what np.full would save.
+        weights, each d^-depth, stay a filled array for callers that
+        np.dot them.
+        """
+        x = float(x)
+        phases = self._phases(x, origin)
+        n = self.skew.degree**self.depth
+        leaf = np.empty(n, dtype=complex)
+        for _ in self._leaf_blocks(*phases, out=leaf):
+            pass
+        return np.broadcast_to(x, (n,)), np.full(n, 1.0 / n), leaf.view(float).reshape(n, 2)
+
+    def _phases(self, x: float, origin):
+        """Level k+1's rotation factor, for each k, and the transported origin.
+
+        Checks the origin, x and the node budget first.  Level k+1's factor
+        is its translation, transported by contraction^k.
         """
         skew = self.skew
         start = skew.base_point if origin is None else np.asarray(origin, dtype=float)
         if not skew.fiber_space.contains(start):
             raise ValueError("origin must lie in the fiber ball")
-        x = float(x)
         skew.base.cell_index(x)  # raises BoundaryPoint outside/on edges
         d = skew.degree
         over = next((k for k in range(1, self.depth + 1) if d**k > self.node_budget), None)
         if over is not None:
             raise DepthOverflow(f"level {over} holds {d**over} nodes, budget {self.node_budget}")
         trans = skew.fiber_map.translation_at(x / float(d) ** np.arange(1, self.depth + 1))
-        steps = []  # level k+1's rotation factor: its translation, transported by contraction^k
+        steps = []
         scale = 1.0
         for k in range(self.depth):
             steps.append(scale * complex(*trans[k]))
             scale *= skew.fiber_map.contraction
-        shift = scale * complex(*start)
-        n = d**self.depth
-        leaf = np.empty(n, dtype=complex)
+        return steps, scale * complex(*start)
+
+    def _leaf_blocks(self, steps, shift, out=None):
+        """The leaves, in runs of whole top-position subtrees.
+
+        Each block is shaped (top positions, leaves under one).  Given out,
+        d^depth long, the blocks are its consecutive slices and it ends up
+        holding every leaf; without it one block buffer is reused, so a
+        block is valid until the next one is asked for.
+        """
+        d = self.skew.degree
         top = max(k for k in range(self.depth + 1) if d**k <= _TOP_NODES)
-        head = leaf if top == self.depth else np.empty(d**top, dtype=complex)
-        tree = self._grow(steps, np.zeros(1, dtype=complex), 0, 0, top, head, _level_buffers(d**top, d))
         sub = d ** (self.depth - top)  # leaves under one level-top position
+        head = out if top == self.depth and out is not None else np.empty(d**top, dtype=complex)
+        tree = self._grow(steps, np.zeros(1, dtype=complex), 0, 0, top, head, _level_buffers(d**top, d))
+        if top == self.depth:
+            tree += shift
+            yield tree[:, None]
+            return
         width = max(1, _BLOCK_LEAVES // sub)  # level-top positions per block
+        dest = np.empty(width * sub, dtype=complex) if out is None else out
         bufs = _level_buffers(width * sub, d)
         for p0 in range(0, d**top, width):
-            block = leaf[p0 * sub : (p0 + width) * sub]
+            at = 0 if out is None else p0 * sub
+            block = dest[at : at + min(width, d**top - p0) * sub]
             self._grow(steps, tree[p0 : p0 + width], p0, top, self.depth, block, bufs)
             block += shift
-        del bufs  # before the weights are allocated, so the peak holds no block buffer
-        return np.broadcast_to(x, (n,)), np.full(n, 1.0 / n), leaf.view(float).reshape(n, 2)
+            yield block.reshape(-1, sub)
 
     def _grow(self, steps, parent, p0: int, level: int, last: int, out, bufs):
         """Levels level+1 .. last under the level positions p0, p0 + 1, ..
@@ -286,15 +331,22 @@ class Disintegration:
 
     @cached_property
     def _roots(self) -> np.ndarray:
-        """exp(2 pi i J / d^depth) at position p, J the digit reversal of p."""
+        """exp(2 pi i J / d^depth) at position p, J the digit reversal of p.
+
+        The digit reversals are whole floats, so dividing them needs no
+        cast buffer, and the angles are built in the table's imaginary half,
+        where cos and sin read them: the build holds no more than the table
+        and the reversals.
+        """
         d = self.skew.degree
-        rev = np.zeros(1, dtype=np.int64)
+        rev = np.zeros(1)
         for k in range(self.depth):
-            rev = (rev[:, None] + d**k * np.arange(d)).ravel()
-        angle = (2.0 * np.pi) * (rev / float(len(rev)))
+            rev = (rev[:, None] + d**k * np.arange(d, dtype=float)).ravel()
         roots = np.empty(len(rev), dtype=complex)
+        angle = np.divide(rev, float(len(rev)), out=roots.imag)
+        angle *= 2.0 * np.pi
         np.cos(angle, out=roots.real)
-        np.sin(angle, out=roots.imag)
+        np.sin(angle, out=angle)
         return roots
 
 
@@ -376,10 +428,11 @@ def sandwich_estimate(
     lo_b, hi_b = float(base.domain_lo), float(base.domain_hi)
 
     rng = np.random.default_rng([seed])
-    xs = lo_b + (hi_b - lo_b) * rng.random(samples)
-
-    y = xs.copy()
-    zs = np.tile(ball.center, (samples, 1)).astype(float)
+    y = rng.random(samples)
+    y *= hi_b - lo_b
+    y += lo_b
+    zs = np.empty((samples, ball.dimension))
+    zs[:] = ball.center
     for a in range(0, samples, _PUSH_BLOCK):
         yb, zb = y[a : a + _PUSH_BLOCK], zs[a : a + _PUSH_BLOCK]
         for _ in range(depth):

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,3 +31,23 @@ def edge_probes():
         return out
 
     return points
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes tracemalloc sees allocated while fn() runs.
+
+    Counts only what fn allocates, numpy array data included, from a
+    tracing start with a fresh peak.
+    """
+
+    def peak(fn):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -265,6 +265,18 @@ def _level_by_level_leaves(dis, x, origin=None):
     return tree.view(float).reshape(n, 2)
 
 
+def _pairwise_eta(dis, values):
+    """The documented reduction of leaf values to eta_x(v).
+
+    Pairwise over each top position's leaves, then over the d^top position
+    sums, then divided by d^depth.
+    """
+    d = dis.skew.degree
+    top = max(k for k in range(dis.depth + 1) if d**k <= skew_product._TOP_NODES)
+    per_position = np.add.reduce(values.reshape(d**top, -1), axis=1)
+    return float(np.add.reduce(per_position) / d**dis.depth)
+
+
 # (top nodes, leaves per block): the module's own, then small blocks that
 # split the top level unevenly and leave a short last block
 BLOCKINGS = [(None, None), (8, 50), (27, 1)]
@@ -287,7 +299,74 @@ def test_blocked_tree_is_the_level_by_level_tree(monkeypatch, blocking, degree, 
             want = _level_by_level_leaves(dis, x, origin)
             xs, ws, zs = dis.leaves(x, origin)
             assert zs.shape == (n, 2) and zs.tobytes() == want.tobytes()
-            assert dis.evaluate(x, _coord, origin) == float(np.dot(np.full(n, 1.0 / n), want[:, 0]))
+            assert dis.evaluate(x, _coord, origin) == _pairwise_eta(dis, want[:, 0])
+
+
+@pytest.mark.parametrize("degree, depth", [(2, 6), (2, 13), (3, 9), (5, 5)])
+def test_evaluate_bytes_do_not_depend_on_the_block_size(monkeypatch, degree, depth):
+    # only _BLOCK_LEAVES moves, so the top level and the reduction stay put;
+    # eta_x(1) is exactly 1, since every partial sum is a whole number
+    dis = Disintegration(_skew(contraction=-0.37, degree=degree), depth=depth)
+
+    def values(x):
+        v = lambda xs, zs: zs[..., 0] * (1.0 + zs[..., 1])
+        return [dis.evaluate(x, f).hex() for f in (_coord, _ones, v)]
+
+    want = {x: values(x) for x in (0.11, 0.52, 0.93)}
+    for block_leaves in (1, 50, 1 << 12, 1 << 20):
+        monkeypatch.setattr(skew_product, "_BLOCK_LEAVES", block_leaves)
+        for x, expected in want.items():
+            assert values(x) == expected
+            assert dis.evaluate(x, _ones) == 1.0
+
+
+def test_observable_sees_broadcast_blocks_that_cover_the_tree():
+    degree, depth, x = 2, 18, 0.37
+    dis = Disintegration(_skew(degree=degree), depth=depth)
+    lengths = []
+
+    def coord(xs, zs):
+        assert xs.strides == (0,) and not xs.flags.writeable and np.all(xs == x)
+        assert zs.shape == (len(xs), 2)
+        lengths.append(len(xs))
+        return zs[..., 0]
+
+    dis.evaluate(x, coord)
+    assert len(lengths) > 1 and sum(lengths) == degree**depth
+
+
+def test_evaluate_streams_below_one_leaf_array(traced_peak):
+    # with the roots table built, a depth-18 tree's whole leaf array is 4 MB
+    dis = Disintegration(_skew(), depth=18)
+    dis._roots
+    leaf_bytes = 2**18 * 16
+    for v in (_coord, _ones):
+        assert traced_peak(lambda: dis.evaluate(0.37, v)) < leaf_bytes
+
+
+def _roots_from_int_reversals(degree, depth):
+    """The roots table from integer digit reversals and a separate angle array."""
+    rev = np.zeros(1, dtype=np.int64)
+    for k in range(depth):
+        rev = (rev[:, None] + degree**k * np.arange(degree)).ravel()
+    angle = (2.0 * np.pi) * (rev / float(len(rev)))
+    roots = np.empty(len(rev), dtype=complex)
+    np.cos(angle, out=roots.real)
+    np.sin(angle, out=roots.imag)
+    return roots
+
+
+@pytest.mark.parametrize("degree, depth", [(2, 1), (2, 10), (2, 18), (3, 1), (3, 7), (3, 11)])
+def test_roots_table_is_the_int_reversal_formula(degree, depth):
+    got = Disintegration(_skew(degree=degree), depth=depth)._roots
+    assert got.tobytes() == _roots_from_int_reversals(degree, depth).tobytes()
+
+
+def test_roots_build_holds_the_table_and_the_reversals_only(traced_peak):
+    # 4 MB of table and 2 MB of digit reversals, plus a page for array headers
+    n = 2**18
+    dis = Disintegration(_skew(), depth=18)
+    assert traced_peak(lambda: dis._roots) <= n * 16 + n * 8 + 4096
 
 
 def test_boundary_point_rejected():
@@ -316,7 +395,11 @@ def test_eta_integral_agrees_with_forward_sandwich():
 
 
 def _unblocked_sandwich(skew, v, depth, fiber_lipschitz, samples, seed):
-    """sandwich_estimate with every step pushed through the whole sample at once."""
+    """sandwich_estimate with every step pushed through the whole sample at once.
+
+    Its set-up allocates anew as well: base points scaled into a new array,
+    fiber points tiled from the centre.
+    """
     base = skew.base
     ball = skew.fiber_space
     pad = skew.kappa**depth * fiber_lipschitz * ball.radius
@@ -349,3 +432,33 @@ def test_blocked_sandwich_is_the_unblocked_push():
     want = _unblocked_sandwich(skew, coord, 12, 2.0, samples, 5)
     assert (sw.lower, sw.upper, sw.stat_error) == want
 
+
+
+def _masked_ball_probes(ball, count, seed):
+    """_ball_probes gathered by boolean mask and scaled into a new array."""
+    rng = np.random.default_rng(seed)
+    d = ball.dimension
+    out = np.empty((count, d))
+    have = 0
+    while have < count:
+        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, d))
+        keep = cand[np.einsum("ij,ij->i", cand, cand) <= 1.0]
+        take = min(len(keep), count - have)
+        out[have : have + take] = keep[:take]
+        have += take
+    return ball.center + ball.radius * out
+
+
+def test_ball_probes_and_contraction_keep_their_bytes():
+    pairs = 5_000
+    skew = _skew(contraction=-0.37, radius=0.7)
+    ball = FiberBall(np.array([0.25, -0.5]), 0.7)
+    for count in (1, 3, pairs):
+        for seed in (777, 12345, 54321):
+            got = skew_product._ball_probes(ball, count, seed=seed)
+            assert got.tobytes() == _masked_ball_probes(ball, count, seed).tobytes()
+    z1 = _masked_ball_probes(skew.fiber_space, pairs, 12345)
+    z2 = _masked_ball_probes(skew.fiber_space, pairs, 54321)
+    sep = np.linalg.norm(z1 - z2, axis=1)
+    sep = sep[sep > 0]
+    assert validate_contraction(skew, pairs=pairs) == float(np.max(0.37 * sep / sep))
