@@ -23,7 +23,6 @@ from .errors import (
     NoReturn,
     NotAffineMarkov,
     NotFullBranch,
-    ProtectedOrbitHit,
     WindowTooShort,
 )
 from .markov_maps import (

@@ -35,7 +35,7 @@ from .skew_product import (
 from .solenoid import build as build_solenoid
 from .solenoid import check_domination
 from .suspension import DEFAULT_BATCH, correlation, default_observables, fit_rate, suspend
-from .suspension import temporal_distance
+from .suspension import _tdist_grid
 from .transfer_operator import (
     build_ulam,
     duality_check,
@@ -434,11 +434,9 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
     grid = [(i + 0.5) / 16 for i in range(16)]
     re_vals, mass_devs = [], []
     for th in grid:
-        # one tree per grid point, kept whole by leaves() and read by both
-        # observables through np.dot with its weights (evaluate streams it)
-        xs, ws, zs = dis.leaves(th)
-        re_vals.append(float(np.dot(ws, re_z(xs, zs))))
-        mass_devs.append(abs(float(np.dot(ws, one(xs, zs))) - 1.0))
+        # evaluate streams one tree per observable, so no tree is held whole
+        re_vals.append(dis.evaluate(th, re_z))
+        mass_devs.append(abs(dis.evaluate(th, one) - 1.0))
     re_ok = max(abs(v) for v in re_vals) <= 1e-3
     mass_ok = max(mass_devs) <= 1e-9
 
@@ -483,37 +481,17 @@ def check_temporal_distance(seed: int = 42, threads: int = 1) -> CheckResult:
     grid = _grid16()
 
     susp_lc = suspend(base, per_branch_polynomial_roof(base, [(1,), (Fraction(3, 2),)]))
-    worst_lc = Fraction(0)
-    lc_rows = []
-    for x in grid:
-        for y in grid:
-            td = temporal_distance(susp_lc, x, y, depth=30)
-            worst_lc = max(worst_lc, abs(td.value))
-            lc_rows.append(f"{float(x):.17g},{float(y):.17g},{float(td.value):.17g},{float(td.truncation_bound):.17g}")
+    worst_lc, lc_csv = _tdist_grid(susp_lc, grid, depth=30)
     lc_ok = worst_lc <= Fraction(1, 10**9)
 
     susp_sq = suspend(base, polynomial_roof(base, (1, 0, 1)))
-
-    def grid_max(depth: int):
-        worst = Fraction(0)
-        rows = []
-        for x in grid:
-            for y in grid:
-                td = temporal_distance(susp_sq, x, y, depth=depth)
-                worst = max(worst, abs(td.value))
-                rows.append(
-                    f"{float(x):.17g},{float(y):.17g},{float(td.value):.17g},{float(td.truncation_bound):.17g}"
-                )
-        return worst, rows
-
-    m30, rows30 = grid_max(30)
-    m40, rows40 = grid_max(40)
+    m30, csv30 = _tdist_grid(susp_sq, grid, depth=30)
+    m40, csv40 = _tdist_grid(susp_sq, grid, depth=40)
     nonzero_ok = m30 > 0
     rel = abs(float(m40 - m30)) / max(float(m30), float(m40)) if m30 > 0 else math.inf
     stable_ok = rel <= 0.01
 
     elapsed = time.perf_counter() - t0
-    header = "x,y,value,truncation_bound\n"
     return CheckResult(
         criterion=10,
         name="temporal_distance_dichotomy",
@@ -525,9 +503,9 @@ def check_temporal_distance(seed: int = 42, threads: int = 1) -> CheckResult:
         ),
         elapsed=elapsed,
         artifacts=(
-            ("tdist_locally_constant.csv", header + "\n".join(lc_rows) + "\n"),
-            ("tdist_xsq_depth30.csv", header + "\n".join(rows30) + "\n"),
-            ("tdist_xsq_depth40.csv", header + "\n".join(rows40) + "\n"),
+            ("tdist_locally_constant.csv", lc_csv),
+            ("tdist_xsq_depth30.csv", csv30),
+            ("tdist_xsq_depth40.csv", csv40),
         ),
     )
 

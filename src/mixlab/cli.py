@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from fractions import Fraction
@@ -31,13 +30,13 @@ from .roof import witness_search
 from .skew_product import validate_contraction, validate_invariance
 from .solenoid import SolenoidModel, attractor_sample, check_domination, cloud_csv
 from .suspension import (
+    _tdist_grid,
     correlation,
     MAX_THREADS,
     default_observables,
     fit_rate,
     suspend,
     svg_log_plot,
-    temporal_distance,
 )
 from .transfer_operator import build_ulam, invariant_density
 
@@ -83,9 +82,16 @@ class Runtime:
         elif cfg.run.threads is not None:
             self.threads = cfg.run.threads
         else:
-            self.threads = min(os.cpu_count() or 1, MAX_THREADS)
+            self.threads = min(_usable_cores(), MAX_THREADS)
         self.out_dir = args.out if args.out is not None else cfg.output.out_dir
         self.format = args.format if args.format is not None else cfg.output.format
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _seed_value(text: str) -> int:
@@ -206,6 +212,11 @@ def cmd_cohomology(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
     m = build_map(cfg)
+    if cfg.run.base_cell >= m.n_cells:
+        raise ConfigError(
+            f"base_cell {cfg.run.base_cell} is not a cell of the {m.n_cells}-cell map "
+            f"at {cfg.where('run', 'base_cell')}"
+        )
     induced = m.induce_first_return(cfg.run.base_cell, cfg.run.depth_cap)
     roof_upper = float(build_roof(cfg, m).upper_bound) if cfg.roof else 1.0
     try:
@@ -264,17 +275,7 @@ def cmd_tdist(cfg: ExperimentConfig, rt: Runtime) -> int:
     susp = suspend(flow_base, roof)
     g = cfg.run.grid
     points = [Fraction(2 * i + 1, 2 * g) for i in range(g)]
-    worst = Fraction(0)
-    rows = []
-    for x in points:
-        for y in points:
-            td = temporal_distance(susp, x, y, depth=cfg.run.depth)
-            value = abs(td.value)
-            worst = max(worst, value)
-            rows.append(
-                f"{float(x):.17g},{float(y):.17g},{float(td.value):.17g},{float(td.truncation_bound):.17g}"
-            )
-    body = "x,y,value,truncation_bound\n" + "\n".join(rows) + "\n"
+    worst, body = _tdist_grid(susp, points, depth=cfg.run.depth)
     _write_artifact(rt.out_dir, "tdist.csv", body)
     print(f"max |temporal distance| {float(worst):.10g} over {g}x{g} grid at depth {cfg.run.depth}")
     return 0

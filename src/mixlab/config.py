@@ -237,12 +237,12 @@ def _get_float(raw, path, lines, section, key, positive=False):
 def _parse_run(raw: dict[str, str], path, lines) -> RunSettings:
     kw = {}
     ints = {
-        "samples": 1,
+        "samples": 2,
         "batch_size": 1,
         "depth": 1,
         "depth_cap": 1,
         "fiber_depth": 0,
-        "max_period": 1,
+        "max_period": 2,
         "probes": 1,
         "pairs": 1,
         "base_cell": 0,

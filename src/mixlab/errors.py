@@ -29,10 +29,6 @@ class InvalidRoof(MixlabError):
     """Roof data a builder rejects: a non-positive roof, or a malformed table or bump."""
 
 
-class ProtectedOrbitHit(MixlabError):
-    """A bump support intersects a protected orbit."""
-
-
 class DepthOverflow(MixlabError):
     """An enumeration would exceed its budget: the inverse-branch tree of a
     disintegration its node budget, or a first-return map its excursion paths."""

@@ -3,17 +3,18 @@
 A map is a finite ordered list of affine branches, one per partition cell;
 each branch sends its half-open cell onto a contiguous union of cells
 recorded in a 0/1 transition matrix.  Branch data must be rational.  They
-give an exact arithmetic path (`fractions.Fraction` in, Fraction out),
-which the cohomology and inducing machinery rely on, and a vectorised float
-path for statistics.  On the exact path periodic points, periodic orbits
-and first-return branches compose the branches as integer triples
-(alpha, beta, gamma), y -> (alpha*y + beta)/gamma, and build a Fraction
-only for what they return.  `orbit_walk` hands a periodic orbit over as
-integer numerator and denominator pairs, so a caller can sum along it
-without a Fraction per point.  First-return inducing sums each return
-time's mass |A|/C in integers while it enumerates, so the tail masses
-cost one Fraction per return time, not one per branch, and each
-`InducedBranch` builds its Fractions only when they are read.
+give an exact arithmetic path, which the cohomology and inducing machinery
+rely on, and a vectorised float path (`evaluate_many`) for statistics.  A
+single point x is sent by `branches[cell_index(x)].forward(x)`, Fraction in,
+Fraction out.  On the exact path periodic orbits and first-return branches
+compose the branches as integer triples (alpha, beta, gamma),
+y -> (alpha*y + beta)/gamma, and build a Fraction only for what they
+return.  `orbit_walk` hands a periodic orbit over as integer numerator and
+denominator pairs, so a caller can sum along it without a Fraction per
+point.  First-return inducing sums each return time's mass |A|/C in
+integers while it enumerates, so the tail masses cost one Fraction per
+return time, not one per branch, and each `InducedBranch` builds its
+Fractions only when they are read.
 """
 
 from __future__ import annotations
@@ -129,12 +130,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise KeyError(axiom)
-
     def to_csv(self) -> str:
         lines = ["axiom,status,worst_probe,location,tolerance"]
         for c in self.checks:
@@ -238,18 +233,6 @@ class ExpandingMarkovMap:
                 return k
         raise BoundaryPoint(f"{x} lies on a partition boundary")
 
-    def evaluate(self, x, side: str = "strict"):
-        """Return (f(x), branch index).
-
-        Exact for Fraction x.  A float image is clamped below domain_hi as
-        in `evaluate_many`.
-        """
-        k = self.cell_index(x, side=side)
-        y = self.branches[k].forward(x)
-        if isinstance(y, float):
-            y = min(y, self._top_f)
-        return y, k
-
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorised forward map; cells taken half-open (right-continuous).
 
@@ -348,11 +331,6 @@ class ExpandingMarkovMap:
         g = math.gcd(B, C - A)
         return B // g, (C - A) // g
 
-    def periodic_points(self, itinerary: Sequence[int]):
-        """Point x with f^n(x) = x realising the given cyclic itinerary (exact Fraction)."""
-        self.check_itinerary(itinerary)
-        return Fraction(*self._fixed_point(itinerary))
-
     def orbit_walk(self, itinerary: Sequence[int]):
         """The periodic orbit of an admissible itinerary as integer pairs.
 
@@ -361,8 +339,8 @@ class ExpandingMarkovMap:
         dividing q_{i+1}; or None if the orbit touches a cell boundary (the
         coding is then not realised by an interior point).  Cell bounds are
         compared by cross-multiplication.  The itinerary is not checked:
-        `periodic_orbit` checks it, and `enumerate_cyclic_classes` yields
-        only admissible words.
+        `enumerate_cyclic_classes` yields only admissible words, and
+        `check_itinerary` checks any other.
         """
         p, q = self._fixed_point(itinerary)
         walk = []
@@ -376,15 +354,6 @@ class ExpandingMarkovMap:
             a, b, c = self.branches[k].forward_triple
             p, q = a * p + b * q, c * q
         return walk
-
-    def periodic_orbit(self, itinerary: Sequence[int]):
-        """Orbit points (x, f x, ..., f^{n-1} x) for a periodic itinerary.
-
-        Returns None if the orbit touches a cell boundary; see `orbit_walk`.
-        """
-        self.check_itinerary(itinerary)
-        walk = self.orbit_walk(itinerary)
-        return None if walk is None else [Fraction(p, q) for _, p, q in walk]
 
     # -- first-return inducing ----------------------------------------------
 

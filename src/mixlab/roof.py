@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundaryPoint, InadmissibleItinerary, InvalidRoof, ProtectedOrbitHit
+from .errors import InadmissibleItinerary, InvalidRoof
 from .markov_maps import ExpandingMarkovMap, low_discrepancy
 
 WITNESS_THRESHOLD = 1e-10
@@ -66,9 +66,6 @@ class RoofFunction:
     def __post_init__(self):
         if not self.lower_bound > 0:
             raise InvalidRoof(f"roof must stay positive, but its infimum is {self.lower_bound}")
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 def _is_rational(v) -> bool:
@@ -519,41 +516,17 @@ def certify_coboundary(
 # -- bump perturbation ---------------------------------------------------------
 
 
-def _orbit_points(m: ExpandingMarkovMap, x, max_steps: int = 64):
-    """Forward orbit of x, stopping at closure, a boundary hit, or the cap."""
-    pts = []
-    y = x
-    seen = set()
-    for _ in range(max_steps):
-        key = y if isinstance(y, Rational) else round(float(y), 14)
-        if key in seen:
-            break
-        seen.add(key)
-        pts.append(y)
-        try:
-            y, _k = m.evaluate(y)
-        except BoundaryPoint:
-            break
-    return pts
-
-
-def perturb_bump(
-    roof: RoofFunction,
-    center,
-    radius,
-    amplitude,
-    protected: Iterable = (),
-    protect_steps: int = 64,
-) -> RoofFunction:
+def perturb_bump(roof: RoofFunction, center, radius, amplitude) -> RoofFunction:
     """Add a compactly supported bump a*(1 - u^2)^3, u = (x-center)/radius.
 
     The bump is C^2 with support [center-radius, center+radius] and peaks
     at `amplitude` on the center, so the certified bounds move by closed
     forms: a positive amplitude raises the upper bound by exactly that
     much, a negative one lowers the lower bound by |amplitude|, and the
-    Lipschitz constant grows by the bump's slope bound.  Every protected
-    point's forward orbit must avoid the support; positivity requires
-    |amplitude| < the roof's lower bound.
+    Lipschitz constant grows by the bump's slope bound.  Positivity
+    requires |amplitude| < the roof's lower bound.  The bump may touch any
+    periodic orbit; witness_search on the result says whether a witness
+    survives it.
     """
     if not radius > 0:
         raise InvalidRoof("bump radius must be positive")
@@ -561,14 +534,6 @@ def perturb_bump(
         raise InvalidRoof("bump |amplitude| must stay below the roof lower bound")
     if amplitude == 0:
         return roof
-
-    for p in protected:
-        for y in _orbit_points(roof.base, p, protect_steps):
-            if abs(float(y) - float(center)) <= float(radius):
-                raise ProtectedOrbitHit(
-                    f"bump support [{float(center - radius):.6g}, "
-                    f"{float(center + radius):.6g}] contains orbit point {float(y):.6g}"
-                )
 
     exact = roof.exact and all(_is_rational(v) for v in (center, radius, amplitude))
     if exact:

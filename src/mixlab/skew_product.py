@@ -21,9 +21,9 @@ parent add per node, against one table of d^depth roots of unity.  Its top
 levels, up to _TOP_NODES nodes, are built whole; below them the subtrees of
 a run of top positions are grown together down to _BLOCK_LEAVES leaves, so
 that a 2^20-leaf tree touches each node while its block is in cache instead
-of streaming 16 MB levels through memory.  evaluate calls v once per block
-and sums the block at once, so beyond the roots table its memory is a few
-blocks, not the tree.  The sum is fixed by the top level, not the blocking:
+of streaming 16 MB levels through memory.  evaluate, the only reader of a
+tree, calls v once per block and sums the block at once, so beyond the
+roots table its memory is a few blocks, not the tree.  The sum is fixed by the top level, not the blocking:
 each top position's leaves are summed pairwise (np.add.reduce), then those
 d^top sums pairwise, then divided by d^depth.  The forward pushes of
 sandwich_estimate run _PUSH_BLOCK samples through every step at a time for
@@ -74,10 +74,6 @@ class FiberBall:
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         return bool(np.linalg.norm(np.asarray(z) - self.center) <= self.radius + tol)
-
-    def overshoot(self, z) -> float:
-        """How far z sits outside the ball; <= 0 means inside."""
-        return float(np.linalg.norm(np.asarray(z, dtype=float) - self.center) - self.radius)
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ class Disintegration:
     _TOP_NODES nodes whole, then each run of B top positions, with about
     _BLOCK_LEAVES leaves below it, down to the leaves through two small
     buffers, adding the transported origin to the block's leaves last.
-    evaluate reads each block as it is built; only leaves() keeps them all.
+    evaluate reads each block as it is built, and no tree is ever kept whole.
     """
 
     skew: HyperbolicSkewProduct
@@ -242,23 +238,6 @@ class Disintegration:
             sums.append(np.add.reduce(np.asarray(vals, dtype=float).reshape(block.shape), axis=1))
         return float(np.add.reduce(np.concatenate(sums)) / self.skew.degree**self.depth)
 
-    def leaves(self, x, origin: np.ndarray | None = None):
-        """(base points, weights, fiber points) of the depth-n tree at x.
-
-        The whole tree, from the blocks evaluate reads one at a time.
-        Every leaf sits over x, so the base points are a read-only
-        broadcast of x that len and np.shape see as d^depth long.  The
-        weights, each d^-depth, stay a filled array for callers that
-        np.dot them.
-        """
-        x = float(x)
-        phases = self._phases(x, origin)
-        n = self.skew.degree**self.depth
-        leaf = np.empty(n, dtype=complex)
-        for _ in self._leaf_blocks(*phases, out=leaf):
-            pass
-        return np.broadcast_to(x, (n,)), np.full(n, 1.0 / n), leaf.view(float).reshape(n, 2)
-
     def _phases(self, x: float, origin):
         """Level k+1's rotation factor, for each k, and the transported origin.
 
@@ -282,29 +261,27 @@ class Disintegration:
             scale *= skew.fiber_map.contraction
         return steps, scale * complex(*start)
 
-    def _leaf_blocks(self, steps, shift, out=None):
+    def _leaf_blocks(self, steps, shift):
         """The leaves, in runs of whole top-position subtrees.
 
-        Each block is shaped (top positions, leaves under one).  Given out,
-        d^depth long, the blocks are its consecutive slices and it ends up
-        holding every leaf; without it one block buffer is reused, so a
-        block is valid until the next one is asked for.
+        Each block is shaped (top positions, leaves under one).  One block
+        buffer is reused, so a block is valid until the next one is asked
+        for.
         """
         d = self.skew.degree
         top = max(k for k in range(self.depth + 1) if d**k <= _TOP_NODES)
         sub = d ** (self.depth - top)  # leaves under one level-top position
-        head = out if top == self.depth and out is not None else np.empty(d**top, dtype=complex)
+        head = np.empty(d**top, dtype=complex)
         tree = self._grow(steps, np.zeros(1, dtype=complex), 0, 0, top, head, _level_buffers(d**top, d))
         if top == self.depth:
             tree += shift
             yield tree[:, None]
             return
         width = max(1, _BLOCK_LEAVES // sub)  # level-top positions per block
-        dest = np.empty(width * sub, dtype=complex) if out is None else out
+        dest = np.empty(width * sub, dtype=complex)
         bufs = _level_buffers(width * sub, d)
         for p0 in range(0, d**top, width):
-            at = 0 if out is None else p0 * sub
-            block = dest[at : at + min(width, d**top - p0) * sub]
+            block = dest[: min(width, d**top - p0) * sub]
             self._grow(steps, tree[p0 : p0 + width], p0, top, self.depth, block, bufs)
             block += shift
             yield block.reshape(-1, sub)

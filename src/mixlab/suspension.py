@@ -648,6 +648,24 @@ def temporal_distance(
     return TemporalDistance(total if exact else float(total), bound, depth, chain)
 
 
+def _tdist_grid(susp: SuspensionSemiflow, points: Sequence, depth: int):
+    """Largest |temporal distance| over the points x points grid, and its CSV.
+
+    The CSV has one row per (x, y), x outermost, with the value and its
+    truncation bound.
+    """
+    worst = Fraction(0)
+    rows = ["x,y,value,truncation_bound"]
+    for x in points:
+        for y in points:
+            td = temporal_distance(susp, x, y, depth=depth)
+            worst = max(worst, abs(td.value))
+            rows.append(
+                f"{float(x):.17g},{float(y):.17g},{float(td.value):.17g},{float(td.truncation_bound):.17g}"
+            )
+    return worst, "\n".join(rows) + "\n"
+
+
 def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, chain: tuple[int, ...]):
     """B(p) = sum of r(H_k p) over the chain's pulls, memoised on the suspension."""
     key = (exact, p, chain)

@@ -174,9 +174,6 @@ class InvariantDensity:
         i = np.searchsorted(self.bin_edges, np.asarray(x, dtype=float), side="right") - 1
         return self.values[np.clip(i, 0, len(self.values) - 1)]
 
-    def mass(self) -> float:
-        return float(np.sum(self.values * np.diff(self.bin_edges)))
-
     def to_csv(self) -> str:
         lines = ["bin_left,bin_right,value,residual"]
         for a, c, v in zip(self.bin_edges, self.bin_edges[1:], self.values):

@@ -95,9 +95,14 @@ def test_criterion_08_domination_criterion(capsys):
     assert r.passed, r.detail
 
 
-def test_criterion_09_disintegration(capsys):
-    r = _run(check_disintegration, 9, capsys)
+def test_criterion_09_disintegration(capsys, traced_peak):
+    # evaluate streams each grid tree: one whole 2^20-leaf tree is 16 MB
+    # of fiber points, and the roots table another 16 MB
+    results = []
+    peak = traced_peak(lambda: results.append(_run(check_disintegration, 9, capsys)))
+    r = results[0]
     assert r.passed, r.detail
+    assert peak < 32 * 2**20, peak
 
 
 def test_criterion_10_temporal_distance(capsys):

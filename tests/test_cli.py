@@ -1,5 +1,7 @@
 """CLI tests: exit codes, artifact layout, and determinism across threads."""
 
+import argparse
+import os
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -8,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixlab.cli import _base_density, main
-from mixlab.config import build_map, load_config
+from mixlab.cli import Runtime, _base_density, main
+from mixlab.config import ExperimentConfig, build_map, load_config
 from mixlab.errors import CrossingBudgetExceeded, MixlabError
 from mixlab.markov_maps import doubling_map
 from mixlab.roof import per_branch_polynomial_roof
@@ -437,6 +439,34 @@ def test_huge_bins_is_a_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, DOUBLING.replace("bins = 64", "bins = 562949953421312"))
     assert run(tmp_path, "srb", "--config", cfg) == 2
     assert "above maximum 8192" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("correlate", DOUBLING + "samples = 1\n" + XSQ_ROOF, "samples"),
+        ("cohomology", DOUBLING + "max_period = 1\n" + XSQ_ROOF, "max_period"),
+        ("tails", THREE_BRANCH.replace("base_cell = 0", "base_cell = 7"), "base_cell"),
+    ],
+)
+def test_run_values_the_library_rejects_are_config_errors(tmp_path, capsys, command, text, key):
+    # each would otherwise reach a library ValueError and exit 1 with a traceback
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1) if ln.startswith(key))
+    assert run(tmp_path, command, "--config", _cfg(tmp_path, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and f"line {line})" in err
+
+
+def test_default_workers_are_the_cores_this_process_may_use(monkeypatch):
+    args = argparse.Namespace(seed=None, threads=None, out=None, format=None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert Runtime(args, ExperimentConfig()).threads == 3
+    # where the OS has no affinity call, the core count stands in
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert Runtime(args, ExperimentConfig()).threads == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert Runtime(args, ExperimentConfig()).threads == 1
 
 
 def test_out_flag_overrides_config_dir(tmp_path):

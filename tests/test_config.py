@@ -138,10 +138,11 @@ def test_build_map_affine_markov_matches_builtin():
     custom = build_map(parse_config(text))
     assert custom.n_cells == 2
     assert custom.expansion_bound == pytest.approx(0.5)
+    doubling = build_map(parse_config("[model]\nname = doubling\n"))
     for x in (Fraction(1, 5), Fraction(7, 10)):
-        assert custom.evaluate(x)[0] == build_map(
-            parse_config("[model]\nname = doubling\n")
-        ).evaluate(x)[0]
+        k = custom.cell_index(x)
+        assert k == doubling.cell_index(x)
+        assert custom.branches[k].forward(x) == doubling.branches[k].forward(x)
 
 
 @pytest.mark.parametrize(

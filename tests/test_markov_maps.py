@@ -36,11 +36,17 @@ HALF = Fraction(1, 2)
 # evaluation and boundary policy
 
 
+def _step(m, x, side="strict"):
+    """(f(x), cell of x) by the scalar route: cell_index, then that branch."""
+    k = m.cell_index(x, side=side)
+    return m.branches[k].forward(x), k
+
+
 def test_doubling_evaluates_exactly_on_rationals():
     m = doubling_map()
-    y, k = m.evaluate(Fraction(1, 3))
+    y, k = _step(m, Fraction(1, 3))
     assert (y, k) == (Fraction(2, 3), 0)
-    y, k = m.evaluate(Fraction(2, 3))
+    y, k = _step(m, Fraction(2, 3))
     assert (y, k) == (Fraction(1, 3), 1)
     assert isinstance(y, Fraction)
 
@@ -48,18 +54,18 @@ def test_doubling_evaluates_exactly_on_rationals():
 def test_inner_partition_edge_is_strict_by_default():
     m = doubling_map()
     with pytest.raises(BoundaryPoint):
-        m.evaluate(HALF)
-    y, k = m.evaluate(HALF, side="right")
+        _step(m, HALF)
+    y, k = _step(m, HALF, side="right")
     assert (y, k) == (Fraction(0), 1)
 
 
 def test_domain_endpoints():
     m = doubling_map()
-    assert m.evaluate(Fraction(0))[1] == 0
+    assert m.cell_index(Fraction(0)) == 0
     with pytest.raises(BoundaryPoint):
-        m.evaluate(Fraction(1))
+        m.cell_index(Fraction(1))
     with pytest.raises(BoundaryPoint):
-        m.evaluate(Fraction(-1, 10))
+        m.cell_index(Fraction(-1, 10))
 
 
 def test_evaluate_many_matches_scalar_route():
@@ -67,7 +73,7 @@ def test_evaluate_many_matches_scalar_route():
     xs = np.array([0.1, 0.25, 0.4, 0.55, 0.7, 0.95])
     ys = m.evaluate_many(xs)
     for x, y in zip(xs, ys):
-        assert y == pytest.approx(float(m.evaluate(Fraction(x).limit_denominator(10**6))[0]), abs=1e-12)
+        assert y == pytest.approx(float(_step(m, Fraction(x).limit_denominator(10**6))[0]), abs=1e-12)
 
 
 def test_evaluate_many_stays_below_domain_hi():
@@ -75,7 +81,7 @@ def test_evaluate_many_stays_below_domain_hi():
     # exactly 1.0: outside [0, 1) and a float fixed point of every later step
     m = expanding_circle_map(6)
     y = m.evaluate_many([0.8333333333333333])
-    assert 0.0 <= y[0] < 1.0
+    assert y[0] == math.nextafter(1.0, 0.0)  # clamped to the float just below 1
     assert m.evaluate_many(y)[0] < 1.0
 
 
@@ -94,16 +100,6 @@ def test_evaluate_many_cell_search_matches_clipped_edge_search(m):
     top = math.nextafter(float(m.domain_hi), -math.inf)
     old = np.minimum(m.slopes_f[old_k] * x + m.intercepts_f[old_k], top)
     assert m.evaluate_many(x).tobytes() == old.tobytes()
-
-
-def test_scalar_evaluate_clamps_float_images_below_domain_hi():
-    # both floats sit just below an inner edge whose branch sends the edge
-    # to domain_hi, and the image rounds up onto it
-    assert expanding_circle_map(6).evaluate(0.8333333333333333) == (0.9999999999999999, 4)
-    assert three_branch_map().evaluate(1 / 3) == (0.9999999999999999, 0)
-    # a Fraction image within 1e-29 of domain_hi stays exact
-    y, k = three_branch_map().evaluate(Fraction(1, 3) - Fraction(1, 10**30))
-    assert (y, k) == (1 - Fraction(2, 10**30), 0)
 
 
 def _exact_cell(m, x, side):
@@ -147,7 +143,7 @@ def test_doubling_orbit_stays_in_domain(num):
     m = doubling_map()
     x = Fraction(num, 2**20 + 1)
     for _ in range(30):
-        x, _ = m.evaluate(x)
+        x, _ = _step(m, x)
         assert 0 <= x < 1
 
 
@@ -170,6 +166,10 @@ def test_admissibility_checks():
 # axioms
 
 
+def _row(report, axiom):
+    return next(c for c in report.checks if c.axiom == axiom)
+
+
 @pytest.mark.parametrize("m", [doubling_map(), three_branch_map(), expanding_circle_map(4)])
 def test_builtin_maps_pass_axioms(m):
     report = m.validate_axioms()
@@ -188,18 +188,18 @@ def test_axioms_read_the_exact_branch_data():
     report = m.validate_axioms()
     assert report.passed, report.to_csv()
     assert [c.axiom for c in report.checks] == ["markov_images", "expansion"]
-    assert report["markov_images"].worst_probe == 0
+    assert _row(report, "markov_images").worst_probe == 0
 
 
 def test_axioms_report_the_worst_branch_cell_start():
     m = three_branch_map()  # 1/|slope| is 1/2 on the first cell, 1/3 on the others
     report = m.validate_axioms()
-    assert (report["expansion"].worst_probe, report["expansion"].location) == (0.5, 0.0)
+    assert (_row(report, "expansion").worst_probe, _row(report, "expansion").location) == (0.5, 0.0)
     tight = ExpandingMarkovMap(m.branches, m.transition, expansion_bound=0.4)
-    assert not tight.validate_axioms()["expansion"].passed
+    assert not _row(tight.validate_axioms(), "expansion").passed
     # flagging cell 0 for the first branch breaks its Markov image [1/3, 1)
     loose = ExpandingMarkovMap(m.branches, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), 0.5)
-    check = loose.validate_axioms()["markov_images"]
+    check = _row(loose.validate_axioms(), "markov_images")
     assert (check.status, check.worst_probe, check.location) == ("fail", 1 / 3, 0.0)
 
 
@@ -223,16 +223,14 @@ def test_expansion_bound_is_contraction_of_inverse():
 def test_periodic_points_of_doubling_words():
     m = doubling_map()
     # word 01: x in cell 0, 2x in cell 1, 4x - 1 = x, so x = 1/3
-    assert m.periodic_points((0, 1)) == Fraction(1, 3)
-    assert m.periodic_orbit((0, 1)) == [Fraction(1, 3), Fraction(2, 3)]
+    assert m.orbit_walk((0, 1)) == [(0, 1, 3), (1, 2, 3)]
 
 
 def test_periodic_orbit_cells_match_itinerary():
     m = three_branch_map()
     word = (0, 1, 2)
-    orbit = m.periodic_orbit(word)
-    for x, k in zip(orbit, word):
-        assert m.cell_index(x) == k
+    for k, p, q in m.orbit_walk(word):
+        assert m.cell_index(Fraction(p, q)) == k
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +330,13 @@ def test_periodic_points_and_orbits_match_fraction_definitions(m):
     # circle_5 has 5^p words of period p, so it stops at period 5
     max_period = 5 if m.n_cells == 5 else 8
     for word in _words(m, max_period):
-        x = m.periodic_points(word)
-        assert type(x) is Fraction and x == _fraction_periodic_point(m, word), word
-        orbit = m.periodic_orbit(word)
+        p, q = m._fixed_point(word)
+        assert q > 0 and math.gcd(p, q) == 1, word
+        assert Fraction(p, q) == _fraction_periodic_point(m, word), word
+        walk = m.orbit_walk(word)
+        orbit = None if walk is None else [Fraction(num, den) for _, num, den in walk]
         assert orbit == _fraction_periodic_orbit(m, word), word
-        assert orbit is None or all(type(y) is Fraction for y in orbit)
+        assert walk is None or [k for k, _, _ in walk] == list(word), word
 
 
 @pytest.mark.parametrize("m", KERNEL_MAPS, ids=KERNEL_IDS)
@@ -473,7 +473,7 @@ def test_first_return_branches_compose_the_path():
         assert sorted((br.forward(br.lo), br.forward(br.hi))) == [base.lo, base.hi]
         x = (br.lo + br.hi) / 2
         for k in br.itinerary:
-            x, cell = m.evaluate(x)
+            x, cell = _step(m, x)
             assert cell == k
         assert x == br.forward((br.lo + br.hi) / 2)
 

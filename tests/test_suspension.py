@@ -1,7 +1,6 @@
 """Suspension semiflow tests: exact flow, correlations, decay fits, distances."""
 
 import functools
-import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -94,7 +93,7 @@ def flow_to(susp, point, t):
         u = u - r
         if sk is not None:
             z = sk.fiber_map(x, z)
-        x = bm.evaluate(x)[0]
+        x = bm.branches[bm.cell_index(x)].forward(x) if exact else float(bm.evaluate_many(x))
         r = susp.roof.value(x)
     if sk is not None:
         return ((x, z), u)
