@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NoReturn,
     NotAffineMarkov,
-    NotFullBranch,
     WindowTooShort,
 )
 from .markov_maps import (
@@ -51,7 +50,6 @@ from .roof import (
 from .skew_product import (
     AffineFiberFamily,
     Disintegration,
-    FiberBall,
     HyperbolicSkewProduct,
     SandwichEstimate,
     eta_integral,

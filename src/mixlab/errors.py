@@ -1,4 +1,7 @@
-"""Exception types shared across mixlab modules."""
+"""Exception types shared across mixlab modules.
+
+Each names a model, a request or a run that a module refuses.
+"""
 
 
 class MixlabError(Exception):
@@ -31,11 +34,7 @@ class InvalidRoof(MixlabError):
 
 class DepthOverflow(MixlabError):
     """An enumeration would exceed its budget: the inverse-branch tree of a
-    disintegration its node budget, or a first-return map its excursion paths."""
-
-
-class NotFullBranch(MixlabError):
-    """A skew product needs the full-branch circle base x -> d x mod 1 and a 2-D fiber."""
+    disintegration NODE_BUDGET, or a first-return map its excursion paths."""
 
 
 class BinMisalignment(MixlabError):

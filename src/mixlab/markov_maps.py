@@ -6,10 +6,11 @@ recorded in a 0/1 transition matrix.  Branch data must be rational.  They
 give an exact arithmetic path, which the cohomology and inducing machinery
 rely on, and a vectorised float path (`evaluate_many`) for statistics.  A
 single point x is sent by `branches[cell_index(x)].forward(x)`, Fraction in,
-Fraction out.  On the exact path periodic orbits and first-return branches
-compose the branches as integer triples (alpha, beta, gamma),
-y -> (alpha*y + beta)/gamma, and build a Fraction only for what they
-return.  `orbit_walk` hands a periodic orbit over as integer numerator and
+Fraction out; both paths put a float in its exact cell, even beside an
+edge no float represents (1/3 on three_branch).  On the exact path
+periodic orbits and first-return branches compose the branches as integer
+triples (alpha, beta, gamma), y -> (alpha*y + beta)/gamma, and build a
+Fraction only for what they return.  `orbit_walk` hands a periodic orbit over as integer numerator and
 denominator pairs, so a caller can sum along it without a Fraction per
 point.  First-return inducing sums each return time's mass |A|/C in
 integers while it enumerates, so the tail masses cost one Fraction per
@@ -175,8 +176,10 @@ class ExpandingMarkovMap:
         self.intercepts_f = np.array([float(b.intercept) for b in self.branches])
         # the same edges as a list, bisected by scalar queries without numpy
         self._edge_list = self.edges_f.tolist()
-        # the inner edges, searched by array queries: outer points land in the end cells
-        self._inner_edges_f = self.edges_f[1:-1]
+        # inner edge thresholds for array queries, the smallest float >= each exact
+        # edge: a float reaches an edge exactly when it reaches its threshold
+        inner = [(float(e), e) for e in self.edges[1:-1]]
+        self._inner_edges_f = np.array([math.nextafter(f, math.inf) if Fraction(f) < e else f for f, e in inner])
         # per-branch (image_lo, image_hi, intercept, slope, 1/|slope|) for float points
         self.branches_f = tuple(
             (float(b.image_lo), float(b.image_hi), float(b.intercept), float(b.slope),
@@ -201,12 +204,11 @@ class ExpandingMarkovMap:
     def is_full_branch(self) -> bool:
         return all(all(v == 1 for v in row) for row in self.transition)
 
-    def cell_index(self, x, side: str = "strict") -> int:
+    def cell_index(self, x) -> int:
         """Index k with x in [edge_k, edge_{k+1}).
 
-        Inner partition edges raise BoundaryPoint under the default strict
-        side so the caller decides; side="right" resolves them to the cell
-        on the right, matching the half-open convention.
+        x exactly on an inner partition edge, or outside the domain, raises
+        BoundaryPoint, so the caller decides.
 
         Every number type takes one float search first: float(x) is
         bisected into the float edges, and rounding is monotone, so
@@ -227,7 +229,7 @@ class ExpandingMarkovMap:
         if x < self.domain_lo or x >= self.domain_hi:
             raise BoundaryPoint(f"{x} outside domain [{self.domain_lo}, {self.domain_hi})")
         for k, b in enumerate(self.branches):
-            if x == b.lo and k > 0 and side == "strict":
+            if x == b.lo and k > 0:
                 raise BoundaryPoint(f"{x} lies on a partition boundary")
             if b.lo <= x < b.hi:
                 return k
@@ -236,7 +238,8 @@ class ExpandingMarkovMap:
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorised forward map; cells taken half-open (right-continuous).
 
-        An image that rounds up onto domain_hi is clamped to the float just
+        Each point takes its exact cell, as in `cell_index`, by a search of
+        the inner edge thresholds.  An image that rounds up onto domain_hi is clamped to the float just
         below it: domain_hi is outside the half-open domain and, on a map
         like x -> 6x mod 1, a float fixed point that every later step keeps.
         """

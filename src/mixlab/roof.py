@@ -266,11 +266,11 @@ def per_branch_polynomial_roof(
         return cell_values[base.cell_index(x)](x)
 
     ftable = [tuple(float(c) for c in cs) for cs in table]
-    inner_edges = np.asarray([float(e) for e in base.edges[1:-1]])
 
     def value_many(xs):
         xs = np.asarray(xs, dtype=float)
-        cells = np.searchsorted(inner_edges, xs, side="right")
+        # the map's own edge thresholds: each float in its exact cell, as in value
+        cells = np.searchsorted(base._inner_edges_f, xs, side="right")
         out = np.empty_like(xs)
         for k, fcs in enumerate(ftable):
             mask = cells == k
@@ -410,19 +410,17 @@ def _divisors(p: int):
     return [q for q in range(1, p + 1) if p % q == 0]
 
 
-def witness_search(
-    roof: RoofFunction, max_period: int, threshold: float = WITNESS_THRESHOLD
-) -> CohomologyReport:
+def witness_search(roof: RoofFunction, max_period: int) -> CohomologyReport:
     """Search closed orbits for unequal Birkhoff sums at equal visit counts.
 
     For each total period p up to max_period, every admissible orbit of
     minimal period q dividing p is traversed p/q times; orbits whose
     period-p visit-count vectors agree would have equal sums if the roof
     were cohomologous to a function constant on partition cells, so any
-    gap above the threshold is a witness against that.  The first period
-    with a gap wins; within it the largest gap, ties broken by smallest
-    itinerary pair.  Groups whose sums span no more than the threshold
-    are skipped before any pair is compared.
+    gap above WITNESS_THRESHOLD is a witness against that.  The first
+    period with a gap wins; within it the largest gap, ties broken by
+    smallest itinerary pair.  Groups whose sums span no more than the
+    threshold are skipped before any pair is compared.
 
     Each orbit is walked once, on integer numerators (`orbit_walk`).  A
     roof with `cell_coefficients` sums the lap from that table in integers
@@ -432,6 +430,7 @@ def witness_search(
     """
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
+    threshold = WITNESS_THRESHOLD
     m = roof.base
     lap_sum = _lap_sum(roof.cell_coefficients) if roof.cell_coefficients else None
 

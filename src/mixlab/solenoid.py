@@ -11,13 +11,14 @@ the attractor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryViolation
-from .markov_maps import expanding_circle_map
-from .skew_product import AffineFiberFamily, FiberBall, HyperbolicSkewProduct
+from .skew_product import AffineFiberFamily, HyperbolicSkewProduct
+
+_DOMINATION_PROBES = 256  # probe angles of the empirical domination product
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,8 @@ class SolenoidModel:
     contraction: float
     offset: float
     fiber_radius: float = 1.0
+    # built once: suspend needs a roof over the skew's own base map, so every read must agree
+    _skew: HyperbolicSkewProduct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.expansion < 2:
@@ -49,6 +52,10 @@ class SolenoidModel:
                 f"2*offset*sin(pi/degree) = {gap:.6g} <= 2*fiber_radius/contraction = "
                 f"{2.0 * float(r / c):.6g}"
             )
+        # floats: a Fraction broadcast into an ndarray would force elementwise
+        # object arithmetic at every transport step
+        fiber_map = AffineFiberFamily(float(self.kappa), float(self.offset))
+        object.__setattr__(self, "_skew", HyperbolicSkewProduct(self.expansion, float(r), fiber_map))
 
     @property
     def kappa(self) -> float:
@@ -61,13 +68,7 @@ class SolenoidModel:
 
     @property
     def skew(self) -> HyperbolicSkewProduct:
-        return HyperbolicSkewProduct(
-            base=expanding_circle_map(self.expansion),
-            fiber_space=FiberBall(center=np.zeros(2), radius=float(self.fiber_radius)),
-            # floats: a Fraction broadcast into an ndarray would force elementwise
-            # object arithmetic at every transport step
-            fiber_map=AffineFiberFamily(float(self.kappa), float(self.offset)),
-        )
+        return self._skew
 
 
 def build(
@@ -103,7 +104,7 @@ class DominationReport:
         )
 
 
-def check_domination(model: SolenoidModel, probes: int = 256) -> DominationReport:
+def check_domination(model: SolenoidModel) -> DominationReport:
     """Evaluate the fiber-contraction times squared-expansion product."""
     d = float(model.expansion)
     c = model.contraction
@@ -113,8 +114,8 @@ def check_domination(model: SolenoidModel, probes: int = 256) -> DominationRepor
     bound = frob_sq / c
 
     # empirical route: spectral norm of the full 3x3 Jacobian at probe angles
-    theta = 2.0 * np.pi * ((np.arange(probes) + 0.5) / probes)
-    jac = np.zeros((probes, 3, 3))
+    theta = 2.0 * np.pi * ((np.arange(_DOMINATION_PROBES) + 0.5) / _DOMINATION_PROBES)
+    jac = np.zeros((_DOMINATION_PROBES, 3, 3))
     jac[:, 0, 0] = d
     jac[:, 1, 0] = -wobble * np.sin(theta)
     jac[:, 2, 0] = wobble * np.cos(theta)
@@ -140,10 +141,7 @@ def attractor_sample(
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
     rad = float(model.fiber_radius) * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     z = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
-    skew = model.skew
-    for _ in range(burn_in):
-        z = skew.fiber_map(theta, z)
-        theta = skew.base.evaluate_many(theta)
+    model.skew.push(theta, z, burn_in)
     return theta, z
 
 

@@ -44,6 +44,7 @@ DEFAULT_BATCH = 50_000
 MAX_THREADS = 256
 # Gauss-Legendre nodes for the roof average over the base
 _QUAD_SAMPLES = 4096
+_SVG_WIDTH, _SVG_HEIGHT = 640, 420  # svg_log_plot's canvas, in pixels
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class SuspensionSemiflow:
     mean_roof: float
     roof_sup: float
     base_density: InvariantDensity | None = None
-    # temporal_distance's backward roof sums, keyed by (exact, point, past)
+    # temporal_distance's backward roof sums, keyed by (exact, point, depth)
     _backward_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -165,17 +166,16 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
     Proposes base points from the invariant density, pushed `fiber_depth`
     base steps on skew bases, accepts with probability r(x)/roof_sup, and
     draws the height uniformly on [0, r(x)).  Only accepted proposals carry
-    a fiber point, pushed from the disk center along their own base orbit.
+    a fiber point, pushed from the disk centre along their own base orbit.
     """
     bm = susp.base_map
     sk = susp.skew
     roof_many = susp.roof.value_many
     env = susp.roof_sup
-    dim = sk.fiber_space.dimension if sk is not None else 0
 
     xs = np.empty(n)
     us = np.empty(n)
-    zs = np.empty((n, dim)) if sk is not None else None
+    zs = np.zeros((n, 2)) if sk is not None else None
     filled = 0
     while filled < n:
         m = max(1024, int(1.5 * (n - filled)))
@@ -191,12 +191,7 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
         xs[filled : filled + take] = cand[sel]
         us[filled : filled + take] = u01[sel] * r[sel]
         if sk is not None:
-            y = cand0[sel]
-            z = np.tile(np.asarray(sk.fiber_space.center, dtype=float), (take, 1))
-            for _ in range(fiber_depth):
-                z = sk.fiber_map(y, z)
-                y = bm.evaluate_many(y)
-            zs[filled : filled + take] = z
+            sk.push(cand0[sel], zs[filled : filled + take], fiber_depth)
         filled += take
     return xs, zs, us
 
@@ -582,22 +577,18 @@ def fit_rate(series: CorrelationSeries, noise_floor_mult: float = 3.0) -> DecayF
 
 @dataclass(frozen=True)
 class TemporalDistance:
-    """Truncated two-sided roof-difference sum along a shared past coding."""
+    """Truncated two-sided roof-difference sum along the branch-0 past."""
 
     value: float
     truncation_bound: float
     depth: int
-    past: tuple[int, ...]
 
 
-def temporal_distance(
-    susp: SuspensionSemiflow, x, y, depth: int, past: Sequence[int] | None = None
-) -> TemporalDistance:
+def temporal_distance(susp: SuspensionSemiflow, x, y, depth: int) -> TemporalDistance:
     """Temporal-distance functional of two base points to the given depth.
 
-    Both points are pulled back along the same inverse-branch chain
-    (`past`, most recent branch first, defaulting to branch 0 throughout)
-    and the roof differences are accumulated:
+    Both points are pulled back `depth` times along inverse branch 0, the
+    shared past coding, and the roof differences are accumulated:
 
         sum_{k=1}^{depth} [ r(H_k y) - r(H_k x) ] = B(y) - B(x),
 
@@ -606,29 +597,21 @@ def temporal_distance(
     in Fraction arithmetic; on the float path (an inexact roof or a float
     point) the difference of the two sums may round differently in its
     last bits from the sum of differences.  B is memoised on the
-    suspension under the key (exact, point, past), so an n x n grid pulls
+    suspension under the key (exact, point, depth), so an n x n grid pulls
     back n points; the memo lives and dies with the suspension, and a
     float point never reads an exact entry.
 
     Forward-orbit terms cancel exactly because the bracket point shares
     the future coding whose roof values it is compared against, so only
     the backward sums carry content.  The functional vanishes identically
-    when the roof is constant on partition cells.  Inadmissible pulls
-    raise BracketUndefined (x's chain is checked first) and store
-    nothing.  The truncation bound uses the roof branch constant and the
-    expansion bound.
+    when the roof is constant on partition cells.  A pull that branch 0
+    cannot take (from a cell outside its image, as three_branch's cell 0)
+    raises BracketUndefined, x's chain first, and stores nothing.  The
+    truncation bound uses the roof branch constant and the expansion bound.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     bm = susp.base_map
-    chain = tuple(int(k) for k in past) if past is not None else (0,) * depth
-    if len(chain) < depth:
-        raise ValueError("past coding must supply at least `depth` symbols")
-    chain = chain[:depth]
-    for k in chain:
-        if not 0 <= k < bm.n_cells:
-            raise ValueError("past coding symbol out of range")
-
     exact = (
         susp.roof.exact
         and isinstance(x, Rational)
@@ -636,8 +619,8 @@ def temporal_distance(
     )
     px = Fraction(x) if exact else float(x)
     py = Fraction(y) if exact else float(y)
-    bx = _backward_sum(susp, exact, px, chain)
-    total = _backward_sum(susp, exact, py, chain) - bx
+    bx = _backward_sum(susp, exact, px, depth)
+    total = _backward_sum(susp, exact, py, depth) - bx
 
     # |r(H_k y) - r(H_k x)| <= K lam^(k-1) |y - x| with lam the inverse-branch
     # contraction bound, so the dropped tail is K |y-x| lam^depth / (1 - lam)
@@ -645,7 +628,7 @@ def temporal_distance(
     bound = (
         float(susp.roof.branch_lipschitz) * abs(float(y) - float(x)) * lam**depth / (1.0 - lam)
     )
-    return TemporalDistance(total if exact else float(total), bound, depth, chain)
+    return TemporalDistance(total if exact else float(total), bound, depth)
 
 
 def _tdist_grid(susp: SuspensionSemiflow, points: Sequence, depth: int):
@@ -666,25 +649,26 @@ def _tdist_grid(susp: SuspensionSemiflow, points: Sequence, depth: int):
     return worst, "\n".join(rows) + "\n"
 
 
-def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, chain: tuple[int, ...]):
-    """B(p) = sum of r(H_k p) over the chain's pulls, memoised on the suspension."""
-    key = (exact, p, chain)
+def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, depth: int):
+    """B(p) = sum of r(H_k p) over `depth` branch-0 pulls, memoised on the suspension."""
+    key = (exact, p, depth)
     hit = susp._backward_sums.get(key)
     if hit is not None:
         return hit
     bm = susp.base_map
     value = susp.roof.value
+    pull = bm.branches[0].inverse
     total = Fraction(0) if exact else 0.0
-    for k in chain:
+    for _ in range(depth):
         try:
             cell = bm.cell_index(p)
         except BoundaryPoint as exc:
             raise BracketUndefined(f"pullback hit a partition boundary at {float(p)!r}") from exc
-        if not bm.admissible(k, cell):
+        if not bm.admissible(0, cell):
             raise BracketUndefined(
-                f"past symbol {k} cannot precede cell {cell}; no inverse branch applies"
+                f"past symbol 0 cannot precede cell {cell}; no inverse branch applies"
             )
-        p = bm.branches[k].inverse(p)
+        p = pull(p)
         total += value(p)
     susp._backward_sums[key] = total
     return total
@@ -693,8 +677,9 @@ def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, chain: tuple[int, ..
 # ---------------------------------------------------------------------------
 # plotting
 
-def svg_log_plot(series: CorrelationSeries, fit: DecayFit | None = None, width: int = 640, height: int = 420) -> str:
+def svg_log_plot(series: CorrelationSeries, fit: DecayFit | None = None) -> str:
     """Hand-rolled SVG of log10 |rho(t)| with the fitted decay line."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     vals = np.asarray(series.values, dtype=float)
     times = np.asarray(series.times, dtype=float)
     mask = np.abs(vals) > 0

@@ -28,6 +28,7 @@ from mixlab.markov_maps import (
     tail_statistics,
     three_branch_map,
 )
+from mixlab.roof import per_branch_polynomial_roof
 
 HALF = Fraction(1, 2)
 
@@ -36,9 +37,9 @@ HALF = Fraction(1, 2)
 # evaluation and boundary policy
 
 
-def _step(m, x, side="strict"):
+def _step(m, x):
     """(f(x), cell of x) by the scalar route: cell_index, then that branch."""
-    k = m.cell_index(x, side=side)
+    k = m.cell_index(x)
     return m.branches[k].forward(x), k
 
 
@@ -55,8 +56,8 @@ def test_inner_partition_edge_is_strict_by_default():
     m = doubling_map()
     with pytest.raises(BoundaryPoint):
         _step(m, HALF)
-    y, k = _step(m, HALF, side="right")
-    assert (y, k) == (Fraction(0), 1)
+    # the float path takes cells half-open: 1/2 opens cell 1
+    assert m.evaluate_many([0.5])[0] == 0.0
 
 
 def test_domain_endpoints():
@@ -89,40 +90,59 @@ def test_evaluate_many_stays_below_domain_hi():
     "m", [doubling_map(), three_branch_map(), expanding_circle_map(3), expanding_circle_map(5)]
 )
 def test_evaluate_many_cell_search_matches_clipped_edge_search(m):
-    # the inner-edge search against the former clip of a search over all edges
-    edges = m.edges_f
-    probes = [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+    # the inner-edge search against the clip of a search over all edges, each
+    # edge raised to the smallest float at or above it (1/3 to just above 1/3)
+    edges = np.array([math.nextafter(float(e), math.inf) if float(e) < e else float(e) for e in m.edges])
+    probes = [m.edges_f, np.nextafter(m.edges_f, np.inf), np.nextafter(m.edges_f, -np.inf),
               np.random.default_rng(3).uniform(-0.2, 1.2, 100_000),
               np.array([np.inf, -np.inf, np.nan, -0.0])]
     x = np.concatenate(probes)
     old_k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.n_cells - 1)
-    assert np.array_equal(np.searchsorted(edges[1:-1], x, side="right"), old_k)
+    assert np.array_equal(np.searchsorted(m._inner_edges_f, x, side="right"), old_k)
     top = math.nextafter(float(m.domain_hi), -math.inf)
     old = np.minimum(m.slopes_f[old_k] * x + m.intercepts_f[old_k], top)
     assert m.evaluate_many(x).tobytes() == old.tobytes()
 
 
-def _exact_cell(m, x, side):
-    """Cell of x by exact comparison with m.edges; None where cell_index must raise."""
+def _exact_cell(m, x):
+    """Half-open cell of x by exact comparison with m.edges; None outside the domain."""
     q = Fraction(x)
     if not m.edges[0] <= q < m.edges[-1]:
         return None
-    k = max(i for i in range(m.n_cells) if m.edges[i] <= q)
-    if side == "strict" and k > 0 and q == m.edges[k]:
-        return None
-    return k
+    return max(i for i in range(m.n_cells) if m.edges[i] <= q)
+
+
+def _on_inner_edge(m, x, k):
+    return k > 0 and Fraction(x) == m.edges[k]
 
 
 @pytest.mark.parametrize("m", [doubling_map(), three_branch_map(), expanding_circle_map(5)])
 def test_cell_index_float_search_matches_exact_edges(m, edge_probes):
     for x in edge_probes(m):
-        for side in ("strict", "right"):
-            want = _exact_cell(m, x, side)
-            if want is None:
-                with pytest.raises(BoundaryPoint):
-                    m.cell_index(x, side=side)
-            else:
-                assert m.cell_index(x, side=side) == want, (x, side)
+        want = _exact_cell(m, x)
+        if want is None or _on_inner_edge(m, x, want):
+            with pytest.raises(BoundaryPoint):
+                m.cell_index(x)
+        else:
+            assert m.cell_index(x) == want, x
+
+
+@pytest.mark.parametrize("m", [doubling_map(), three_branch_map(), expanding_circle_map(5)])
+def test_float_routes_put_each_float_in_the_cell_of_cell_index(m, edge_probes):
+    # evaluate_many and a per-branch roof's value_many agree with cell_index
+    # beside every edge, float(1/3) included; on an edge a float represents,
+    # where cell_index refuses, they take the half-open cell
+    xs = np.array([float(x) for x in edge_probes(m)])
+    xs = xs[(float(m.domain_lo) <= xs) & (xs < float(m.domain_hi))]
+    cells = np.array([_exact_cell(m, x) for x in xs])
+    for x, k in zip(xs, cells):
+        if not _on_inner_edge(m, x, k):
+            assert m.cell_index(x) == k, x
+    top = math.nextafter(float(m.domain_hi), -math.inf)
+    want = np.minimum(m.slopes_f[cells] * xs + m.intercepts_f[cells], top)
+    assert m.evaluate_many(xs).tobytes() == want.tobytes()
+    roof = per_branch_polynomial_roof(m, [(k + 1,) for k in range(m.n_cells)])
+    assert np.array_equal(roof.value_many(xs), cells + 1.0)
 
 
 def test_cell_index_ties_fall_back_to_exact_edges():
@@ -131,7 +151,8 @@ def test_cell_index_ties_fall_back_to_exact_edges():
     assert three_branch_map().cell_index(Fraction(1, 3) + Fraction(1, 2**80)) == 1
     with pytest.raises(BoundaryPoint, match="partition boundary"):
         doubling_map().cell_index(0.5)
-    assert doubling_map().cell_index(0.5, side="right") == 1
+    # the float path agrees: float(1/3) is mapped by cell 0's branch 2x + 1/3
+    assert three_branch_map().evaluate_many([1 / 3])[0] > 0.99
     for x in (math.nan, math.inf, Fraction(10**400, 3), -1e-300):
         with pytest.raises(BoundaryPoint):
             doubling_map().cell_index(x)

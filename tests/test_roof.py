@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlab import roof as roof_module
 from mixlab.errors import InadmissibleItinerary, InvalidRoof
 from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
 from mixlab.roof import (
@@ -204,14 +205,16 @@ def test_witness_search_matches_all_pairs_oracle_on_random_roofs(tails):
     assert witness_search(roof, 4) == _all_pairs_witness(roof, 4)
 
 
-def test_group_spread_equal_to_threshold_gives_no_witness():
+def test_group_spread_equal_to_threshold_gives_no_witness(monkeypatch):
     # at period 4 the only same-visit group of 1 + x^2 is {0011, 0101}, spread 4/45
     roof = xsq_roof()
-    assert witness_search(roof, 4, threshold=GAP).verdict == "NoWitnessUpToPeriod"
+    monkeypatch.setattr(roof_module, "WITNESS_THRESHOLD", GAP)
+    assert witness_search(roof, 4).verdict == "NoWitnessUpToPeriod"
     assert _all_pairs_witness(roof, 4, threshold=GAP).verdict == "NoWitnessUpToPeriod"
     below = GAP - Fraction(1, 10**30)
-    assert witness_search(roof, 4, threshold=below) == _all_pairs_witness(roof, 4, threshold=below)
-    assert witness_search(roof, 4, threshold=below).witness.gap == GAP
+    monkeypatch.setattr(roof_module, "WITNESS_THRESHOLD", below)
+    assert witness_search(roof, 4) == _all_pairs_witness(roof, 4, threshold=below)
+    assert witness_search(roof, 4).witness.gap == GAP
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,8 @@ def _coboundary_roof(base, a: Fraction, b: Fraction):
 def test_coboundaries_never_produce_witnesses(a, b):
     roof, gamma = _coboundary_roof(doubling_map(), a, b)
     assert certify_coboundary(roof, gamma, probes=300) <= 1e-10
-    report = witness_search(roof, max_period=5, threshold=1e-10)
+    assert WITNESS_THRESHOLD == 1e-10
+    report = witness_search(roof, max_period=5)
     assert report.verdict == "NoWitnessUpToPeriod"
     assert report == _all_pairs_witness(roof, 5, threshold=1e-10)
 
@@ -492,9 +496,10 @@ def test_per_branch_roof_value_is_horner_exactly(tails):
     m = roof.base
     for x in _value_probes(m):
         _assert_same_value(roof.value(x), _horner(table[m.cell_index(x)], x))
-    # the float path is numpy's polyval, bit for bit, on the float cell search
+    # the float path is numpy's polyval, bit for bit, on each float's exact
+    # cell (float(1/3) lies below 1/3, in cell 0)
     xs = np.array([float(x) for x in _value_probes(m)])
-    cells = np.searchsorted([float(e) for e in m.edges[1:-1]], xs, side="right")
+    cells = [sum(Fraction(x) >= e for e in m.edges[1:-1]) for x in xs]
     want = [np.polynomial.polynomial.polyval(x, [float(c) for c in table[k]]) for x, k in zip(xs, cells)]
     assert roof.value_many(xs).tobytes() == np.array(want).tobytes()
 

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mixlab.errors import BoundaryPoint, DepthOverflow, NotFullBranch
-from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
+from mixlab.errors import BoundaryPoint, DepthOverflow
+from mixlab.markov_maps import expanding_circle_map
 from mixlab import skew_product
 from mixlab.skew_product import (
+    NODE_BUDGET,
     AffineFiberFamily,
     Disintegration,
-    FiberBall,
     HyperbolicSkewProduct,
     eta_integral,
     sandwich_estimate,
@@ -23,8 +23,8 @@ from mixlab.skew_product import (
 def _skew(contraction=0.5, radius=1.0, offset=0.4, degree=2):
     # images of the unit disk stay within radius 0.5 + 0.4 = 0.9
     return HyperbolicSkewProduct(
-        base=expanding_circle_map(degree),
-        fiber_space=FiberBall(np.zeros(2), radius),
+        degree=degree,
+        radius=radius,
         fiber_map=AffineFiberFamily(contraction=contraction, offset=offset),
     )
 
@@ -41,11 +41,15 @@ def _ones(xs, zs):
 
 
 def test_fiber_ball_geometry():
-    ball = FiberBall(np.array([1.0, -1.0]), 0.25)
-    assert ball.dimension == 2
-    assert ball.diameter == 0.5
-    assert ball.contains(np.array([1.0, -0.8]))
-    assert not ball.contains(np.array([1.3, -1.0]))
+    # the fiber is the disk of the given radius about 0
+    for radius in (0.0, -0.25):
+        with pytest.raises(ValueError, match="radius"):
+            _skew(radius=radius)
+    probes = skew_product._ball_probes(0.25, 1_000, seed=1)
+    assert probes.shape == (1_000, 2)
+    assert np.max(np.linalg.norm(probes, axis=1)) <= 0.25
+    # its diameter, 0.5, enters the truncation bound
+    assert Disintegration(_skew(radius=0.25), depth=1).truncation_bound(1.0) == 0.5 * 0.5
 
 
 def test_kappa_must_contract():
@@ -60,23 +64,15 @@ def test_kappa_is_the_fiber_contraction_modulus():
     assert Disintegration(skew, depth=3).truncation_bound(2.0) == 0.25**3 * 2.0 * 2.0
 
 
-def test_base_point_must_lie_in_ball():
-    with pytest.raises(ValueError):
-        HyperbolicSkewProduct(
-            base=doubling_map(),
-            fiber_space=FiberBall(np.zeros(2), 1.0),
-            fiber_map=AffineFiberFamily(contraction=0.5, offset=0.3),
-            base_point=np.array([2.0, 0.0]),
-        )
-
-
 def test_skew_needs_a_full_branch_circle_base_and_a_disk_fiber():
+    # the skew builds its base x -> d x mod 1 from the degree, at least 2
     fam = AffineFiberFamily(contraction=0.5, offset=0.3)
-    with pytest.raises(NotFullBranch, match="three_branch"):
-        HyperbolicSkewProduct(three_branch_map(), FiberBall(np.zeros(2), 1.0), fam)
-    with pytest.raises(NotFullBranch, match="dimension 1"):
-        HyperbolicSkewProduct(doubling_map(), FiberBall(np.zeros(1), 1.0), fam)
-    assert HyperbolicSkewProduct(doubling_map(), FiberBall(np.zeros(2), 1.0), fam).degree == 2
+    with pytest.raises(ValueError, match="degree"):
+        HyperbolicSkewProduct(1, 1.0, fam)
+    skew = HyperbolicSkewProduct(3, 1.0, fam)
+    assert skew.degree == 3 and skew.base.is_full_branch
+    assert skew.base.branches == expanding_circle_map(3).branches
+    assert skew.fiber_map(0.25, np.zeros(2)).shape == (2,)
 
 
 # -- axiom probes ------------------------------------------------------------
@@ -108,24 +104,25 @@ def test_eta_of_constants_is_one():
 
 def test_eta_barycentre_is_the_transported_origin():
     # each level's rotations sum to zero, so the mean fiber point is the
-    # origin pushed by contraction^depth alone
+    # tree's origin, the centre, pushed by contraction^depth: 0
     depth = 9
     for degree in (2, 3):
         dis = Disintegration(_skew(contraction=-0.5, degree=degree), depth=depth)
-        origin = np.array([0.8, -0.3])
         for x in (0.37, 0.81):
-            assert dis.evaluate(x, _coord) == pytest.approx(0.0, abs=1e-12)
             for axis in (0, 1):
-                got = dis.evaluate(x, lambda xs, zs: zs[..., axis], origin=origin)
-                assert got == pytest.approx((-0.5) ** depth * origin[axis], abs=1e-12)
+                got = dis.evaluate(x, lambda xs, zs: zs[..., axis])
+                assert got == pytest.approx(0.0, abs=1e-12)
 
 
-def test_origin_choice_washes_out_at_contraction_rate():
-    depth = 6
-    dis = Disintegration(_skew(), depth=depth)
-    a = dis.evaluate(0.37, _coord, origin=np.array([0.9, 0.0]))
-    b = dis.evaluate(0.37, _coord, origin=np.array([-0.9, 0.0]))
-    assert abs(a - b) <= 0.5**depth * 1.8 + 1e-12
+def test_deeper_trees_stay_within_the_truncation_bound():
+    # a depth-D leaf and the d^2 depth-(D+2) leaves below it differ by
+    # contraction^D times a point of the disk, so eta moves by less than the bound
+    for degree, depth in [(2, 4), (2, 8), (3, 5)]:
+        skew = _skew(contraction=-0.45, degree=degree)
+        shallow, deep = Disintegration(skew, depth=depth), Disintegration(skew, depth=depth + 2)
+        for x in (0.11, 0.37, 0.93):
+            gap = abs(shallow.evaluate(x, _coord) - deep.evaluate(x, _coord))
+            assert 0.0 < gap <= shallow.truncation_bound(1.0)
 
 
 def test_truncation_bound_formula():
@@ -134,7 +131,8 @@ def test_truncation_bound_formula():
 
 
 def test_depth_overflow_affine_tree():
-    dis = Disintegration(_skew(), depth=8, node_budget=100)
+    # level 21 holds 2^21 > NODE_BUDGET nodes
+    dis = Disintegration(_skew(), depth=21)
     with pytest.raises(DepthOverflow):
         dis.evaluate(0.3, _ones)
 
@@ -154,15 +152,17 @@ def translated(monkeypatch):
 
 
 def test_depth_overflow_names_the_first_level_over_budget(translated):
-    # levels hold d, d^2, ... nodes: the first above 100 is refused before
-    # any node of the tree is translated
+    # levels hold d, d^2, ... nodes: the first above NODE_BUDGET is refused
+    # before any node of the tree is translated
+    assert NODE_BUDGET == 2_000_000
     for degree, message in [
-        (2, r"^level 7 holds 128 nodes, budget 100$"),
-        (3, r"^level 5 holds 243 nodes, budget 100$"),
+        (2, r"^level 21 holds 2097152 nodes, budget 2000000$"),
+        (3, r"^level 14 holds 4782969 nodes, budget 2000000$"),
     ]:
-        dis = Disintegration(_skew(degree=degree), depth=9, node_budget=100)
+        dis = Disintegration(_skew(degree=degree), depth=23)
         with pytest.raises(DepthOverflow, match=message):
             dis.evaluate(0.3, _ones)
+        assert "_roots" not in vars(dis)
     assert translated == []
 
 
@@ -192,7 +192,7 @@ def _chain_walk_leaves(skew, x, depth):
         pt, w, chain = stack.pop()
         if len(chain) == depth:
             # the fiber map is applied at the leaf and every ancestor except the root
-            z = skew.base_point
+            z = np.zeros(2)
             for y in (pt,) + tuple(reversed(chain))[:-1]:
                 z = skew.fiber_map(y, z)
             leaves.append((pt, w, z))
@@ -204,13 +204,13 @@ def _chain_walk_leaves(skew, x, depth):
     return leaves
 
 
-def _leaves(dis, x, origin=None):
+def _leaves(dis, x):
     """Every fiber point of the depth-n tree at x, shape (d^depth, 2).
 
     The oracle keeps the whole tree: it copies each block that evaluate
     would read, since the next block reuses its buffer.
     """
-    blocks = dis._leaf_blocks(*dis._phases(float(x), origin))
+    blocks = dis._leaf_blocks(dis._phases(float(x)))
     return np.concatenate([block.copy() for block in blocks], axis=None).view(float).reshape(-1, 2)
 
 
@@ -245,7 +245,7 @@ def test_affine_and_generic_trees_agree():
             )
 
 
-def _level_by_level_leaves(dis, x, origin=None):
+def _level_by_level_leaves(dis, x):
     """Fiber points of the depth-n tree at x, built one whole level at a time.
 
     Each level is the roots prefix times its transported translation, plus
@@ -254,7 +254,6 @@ def _level_by_level_leaves(dis, x, origin=None):
     level through memory whole.
     """
     skew = dis.skew
-    start = skew.base_point if origin is None else np.asarray(origin, dtype=float)
     d = skew.degree
     roots = dis._roots
     trans = skew.fiber_map.translation_at(x / float(d) ** np.arange(1, dis.depth + 1))
@@ -269,7 +268,6 @@ def _level_by_level_leaves(dis, x, origin=None):
             child[i::d] += tree
         tree = child
         scale *= skew.fiber_map.contraction
-    tree += scale * complex(*start)
     return tree.view(float).reshape(n, 2)
 
 
@@ -303,11 +301,10 @@ def test_blocked_tree_is_the_level_by_level_tree(monkeypatch, blocking, degree, 
     dis = Disintegration(_skew(contraction=-0.37, degree=degree), depth=depth)
     n = degree**depth
     for x in (0.11, 0.52, 0.93):
-        for origin in (None, np.array([0.3, -0.2])):
-            want = _level_by_level_leaves(dis, x, origin)
-            zs = _leaves(dis, x, origin)
-            assert zs.shape == (n, 2) and zs.tobytes() == want.tobytes()
-            assert dis.evaluate(x, _coord, origin) == _pairwise_eta(dis, want[:, 0])
+        want = _level_by_level_leaves(dis, x)
+        zs = _leaves(dis, x)
+        assert zs.shape == (n, 2) and zs.tobytes() == want.tobytes()
+        assert dis.evaluate(x, _coord) == _pairwise_eta(dis, want[:, 0])
 
 
 @pytest.mark.parametrize("degree, depth", [(2, 6), (2, 13), (3, 9), (5, 5)])
@@ -388,14 +385,15 @@ def test_boundary_point_rejected():
 
 def test_eta_integral_of_constant_is_one():
     dis = Disintegration(_skew(), depth=6)
-    assert eta_integral(dis, _ones, panels=16) == pytest.approx(1.0, abs=1e-10)
+    assert eta_integral(dis, _ones) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_eta_integral_agrees_with_forward_sandwich():
+def test_eta_integral_agrees_with_forward_sandwich(monkeypatch):
+    monkeypatch.setattr(skew_product, "_ETA_PANELS", 128)
     depth = 10
     skew = _skew()
     dis = Disintegration(skew, depth=depth)
-    integral = eta_integral(dis, _coord, panels=128)
+    integral = eta_integral(dis, _coord)
     sw = sandwich_estimate(skew, _coord, depth=depth, fiber_lipschitz=1.0, samples=20_000, seed=3)
     assert sw.gap == pytest.approx(0.5**depth * 2.0)
     slack = sw.gap / 2.0 + 5.0 * sw.stat_error + 0.01
@@ -409,12 +407,11 @@ def _unblocked_sandwich(skew, v, depth, fiber_lipschitz, samples, seed):
     fiber points tiled from the centre.
     """
     base = skew.base
-    ball = skew.fiber_space
-    pad = skew.kappa**depth * fiber_lipschitz * ball.radius
+    pad = skew.kappa**depth * fiber_lipschitz * skew.radius
     lo_b, hi_b = float(base.domain_lo), float(base.domain_hi)
     rng = np.random.default_rng([seed])
     y = lo_b + (hi_b - lo_b) * rng.random(samples)
-    zs = np.tile(ball.center, (samples, 1)).astype(float)
+    zs = np.tile(np.zeros(2), (samples, 1))
     for _ in range(depth):
         zs = skew.fiber_map(y, zs)
         y = base.evaluate_many(y)
@@ -441,32 +438,45 @@ def test_blocked_sandwich_is_the_unblocked_push():
     assert (sw.lower, sw.upper, sw.stat_error) == want
 
 
+def test_push_is_the_step_by_step_loop_in_place():
+    # a length that leaves a short last block
+    skew = _skew(contraction=-0.37, degree=3)
+    n = 2 * skew_product._PUSH_BLOCK + 5
+    assert n % skew_product._PUSH_BLOCK
+    rng = np.random.default_rng(11)
+    y, z = rng.random(n), 0.5 * rng.uniform(-1.0, 1.0, (n, 2))
+    want_y, want_z = y.copy(), z.copy()
+    for _ in range(7):
+        want_z = skew.fiber_map(want_y, want_z)
+        want_y = skew.base.evaluate_many(want_y)
+    assert skew.push(y, z, 7) is None
+    assert y.tobytes() == want_y.tobytes()
+    assert z.tobytes() == want_z.tobytes()
 
-def _masked_ball_probes(ball, count, seed):
+
+def _masked_ball_probes(radius, count, seed):
     """_ball_probes gathered by boolean mask and scaled into a new array."""
     rng = np.random.default_rng(seed)
-    d = ball.dimension
-    out = np.empty((count, d))
+    out = np.empty((count, 2))
     have = 0
     while have < count:
-        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, d))
+        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, 2))
         keep = cand[np.einsum("ij,ij->i", cand, cand) <= 1.0]
         take = min(len(keep), count - have)
         out[have : have + take] = keep[:take]
         have += take
-    return ball.center + ball.radius * out
+    return radius * out
 
 
 def test_ball_probes_and_contraction_keep_their_bytes():
     pairs = 5_000
     skew = _skew(contraction=-0.37, radius=0.7)
-    ball = FiberBall(np.array([0.25, -0.5]), 0.7)
     for count in (1, 3, pairs):
         for seed in (777, 12345, 54321):
-            got = skew_product._ball_probes(ball, count, seed=seed)
-            assert got.tobytes() == _masked_ball_probes(ball, count, seed).tobytes()
-    z1 = _masked_ball_probes(skew.fiber_space, pairs, 12345)
-    z2 = _masked_ball_probes(skew.fiber_space, pairs, 54321)
+            got = skew_product._ball_probes(0.7, count, seed=seed)
+            assert got.tobytes() == _masked_ball_probes(0.7, count, seed).tobytes()
+    z1 = _masked_ball_probes(skew.radius, pairs, 12345)
+    z2 = _masked_ball_probes(skew.radius, pairs, 54321)
     sep = np.linalg.norm(z1 - z2, axis=1)
     sep = sep[sep > 0]
     assert validate_contraction(skew, pairs=pairs) == float(np.max(0.37 * sep / sep))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from mixlab.errors import GeometryViolation
+from mixlab.roof import constant_roof
 from mixlab.skew_product import validate_contraction, validate_invariance
 from mixlab.solenoid import attractor_sample, build, check_domination, cloud_csv
+from mixlab.suspension import suspend
 
 
 def test_geometry_violations_name_the_inequality():
@@ -66,6 +68,14 @@ def test_domination_csv_shape():
         "passed",
     ]
     assert all(ln.endswith(",1") for ln in lines[1:])
+
+
+def test_skew_is_built_once_with_the_model():
+    # suspend needs the roof's base to be the skew's own base map
+    model = build(2, Fraction(20), Fraction(1, 4), Fraction(1, 3))
+    assert model.skew is model.skew
+    susp = suspend(model.skew, constant_roof(model.skew.base, 1))
+    assert susp.skew is model.skew and susp.mean_roof == 1.0
 
 
 def test_skew_satisfies_probed_axioms():

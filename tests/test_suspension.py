@@ -591,7 +591,7 @@ def test_temporal_distance_closed_form_exact():
     expected = (y * y - x * x) * (1 - Fraction(1, 4) ** depth) / 3
     assert td.value == expected
     assert isinstance(td.value, Fraction)
-    assert td.past == (0,) * depth
+    assert td.depth == depth
     # certified truncation: branch Lipschitz 1, contraction 1/2
     assert td.truncation_bound == pytest.approx(float(y - x) * 0.5**depth / 0.5)
     # the bound dominates the dropped tail of the infinite sum
@@ -615,26 +615,24 @@ def test_temporal_distance_constant_roof_vanishes():
 def test_temporal_distance_inadmissible_past_raises():
     base = three_branch_map()
     susp = suspend(base, polynomial_roof(base, (Fraction(1), Fraction(0), Fraction(1))))
-    # the first branch's image misses its own cell, so symbol 0 cannot
-    # precede points sitting in cell 0
+    # the first branch's image misses its own cell, so the branch-0 past
+    # cannot precede points sitting in cell 0
     with pytest.raises(BracketUndefined):
-        temporal_distance(susp, Fraction(1, 10), Fraction(1, 5), 1, past=(0,))
+        temporal_distance(susp, Fraction(1, 10), Fraction(1, 5), 1)
 
 
 def test_temporal_distance_validates_arguments():
     susp = _xsq_susp()
-    with pytest.raises(ValueError):
-        temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), 0)
-    with pytest.raises(ValueError):
-        temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), 3, past=(0, 1))
-    with pytest.raises(ValueError):
-        temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), 1, past=(7,))
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match="depth"):
+            temporal_distance(susp, Fraction(1, 5), Fraction(2, 5), depth)
 
 
-def _pairwise_td(susp, x, y, depth, past=None):
-    """Step-by-step oracle: pull both points back together, summing differences."""
+def _pairwise_td(susp, x, y, depth):
+    """Step-by-step oracle: pull both points back together along branch 0,
+    summing differences."""
     bm, roof = susp.base_map, susp.roof
-    chain = tuple(past[:depth]) if past is not None else (0,) * depth
+    chain = (0,) * depth
     exact = roof.exact and isinstance(x, Fraction) and isinstance(y, Fraction)
     px, py = (Fraction(x), Fraction(y)) if exact else (float(x), float(y))
     total = Fraction(0) if exact else 0.0
@@ -672,24 +670,27 @@ def test_temporal_distance_matches_pairwise_oracle_on_grid(roof):
             assert td.value == _pairwise_td(susp, x, y, 30)
 
 
-def test_temporal_distance_matches_pairwise_oracle_on_mixed_past():
-    # symbol 0's image misses cell 0, so points in cell 0 cannot take it first
+def test_temporal_distance_matches_pairwise_oracle_on_three_branch():
+    # branch 0's image misses cell 0, so points in cell 0 cannot take it:
+    # one pull answers on cells 1 and 2, and a second pull is always refused
     base = three_branch_map()
     susp = suspend(base, polynomial_roof(base, (1, Fraction(1, 2), 1)))
-    past = (0, 1, 2, 0, 2, 1, 1, 0, 1, 2, 0, 2)
-    answered = refused = 0
-    for x in _grid(12):
-        for y in _grid(12):
-            try:
-                want = _pairwise_td(susp, x, y, 12, past)
-            except BracketUndefined:
-                with pytest.raises(BracketUndefined):
-                    temporal_distance(susp, x, y, 12, past=past)
-                refused += 1
-            else:
-                assert temporal_distance(susp, x, y, 12, past=past).value == want
-                answered += 1
-    assert answered > 0 and refused > 0
+    answered = {1: 0, 2: 0}
+    refused = {1: 0, 2: 0}
+    for depth in (1, 2):
+        for x in _grid(12):
+            for y in _grid(12):
+                try:
+                    want = _pairwise_td(susp, x, y, depth)
+                except BracketUndefined:
+                    with pytest.raises(BracketUndefined):
+                        temporal_distance(susp, x, y, depth)
+                    refused[depth] += 1
+                else:
+                    assert temporal_distance(susp, x, y, depth).value == want
+                    answered[depth] += 1
+    assert answered[1] == 8 * 8 and refused[1] == 12 * 12 - 8 * 8
+    assert answered[2] == 0 and refused[2] == 12 * 12
 
 
 def _counting(roof):
@@ -732,11 +733,11 @@ def test_temporal_distance_inadmissible_chain_stores_nothing():
     x, y = Fraction(1, 10), Fraction(1, 5)  # both in cell 0, which symbol 0 cannot precede
     for _ in range(2):
         with pytest.raises(BracketUndefined):
-            temporal_distance(susp, x, y, 1, past=(0,))
+            temporal_distance(susp, x, y, 1)
     assert susp._backward_sums == {}
     # an admissible first point keeps its sum; the refused one leaves none
     with pytest.raises(BracketUndefined):
-        temporal_distance(susp, Fraction(1, 2), y, 1, past=(0,))
+        temporal_distance(susp, Fraction(1, 2), y, 1)
     assert [key[1] for key in susp._backward_sums] == [Fraction(1, 2)]
 
 
