@@ -22,13 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import _grid16, run_all
 from .config import ExperimentConfig, build_map, build_roof, build_solenoid, load_config
 from .errors import ConfigError, InsufficientDepth, MixlabError, WindowTooShort
 from .markov_maps import ExpandingMarkovMap, tail_statistics
 from .roof import witness_search
 from .skew_product import validate_contraction, validate_invariance
-from .solenoid import SolenoidModel, attractor_sample, check_domination, cloud_csv
+from .solenoid import BURN_IN, SolenoidModel, attractor_sample, check_domination, cloud_csv
 from .suspension import (
     _tdist_grid,
     correlation,
@@ -41,6 +41,9 @@ from .suspension import (
 from .transfer_operator import build_ulam, invariant_density
 
 _FORMATS = ("csv", "csv+svg")
+# the run sizes each subcommand uses, fixed for every config
+_INVARIANCE_PROBES = 10_000
+_WITNESS_PERIOD = 8
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +82,10 @@ class Runtime:
         self.seed = args.seed if args.seed is not None else cfg.run.seed
         if args.threads is not None:
             self.threads = args.threads
-        elif cfg.run.threads is not None:
-            self.threads = cfg.run.threads
         else:
             self.threads = min(_usable_cores(), MAX_THREADS)
         self.out_dir = args.out if args.out is not None else cfg.output.out_dir
-        self.format = args.format if args.format is not None else cfg.output.format
+        self.format = args.format
 
 
 def _usable_cores() -> int:
@@ -133,14 +134,14 @@ def _base_density(cfg: ExperimentConfig, base_map: ExpandingMarkovMap):
     return invariant_density(build_ulam(base_map, cfg.run.bins))
 
 
-def _skew_axioms(cfg: ExperimentConfig, model: SolenoidModel, out_dir: str, name: str):
+def _skew_axioms(model: SolenoidModel, out_dir: str, name: str):
     """Probe fiber contraction and invariance and write the rows to `name`.
 
     Returns the worst contraction ratio, the worst overshoot, and the rows.
     """
     skew = model.skew
-    worst = validate_contraction(skew, pairs=cfg.run.pairs)
-    overshoot = validate_invariance(skew, probes=cfg.run.probes)
+    worst = validate_contraction(skew)
+    overshoot = validate_invariance(skew, probes=_INVARIANCE_PROBES)
     checks = [
         ("fiber_contraction_ratio", worst, float(model.kappa) + 1e-12),
         ("fiber_invariance_overshoot", overshoot, 1e-9),
@@ -158,7 +159,7 @@ def cmd_validate(cfg: ExperimentConfig, rt: Runtime) -> int:
     if cfg.model.get("kind") == "solenoid":
         model = build_solenoid(cfg)
         m = model.skew.base
-        _, _, rows = _skew_axioms(cfg, model, rt.out_dir, "validate_skew.csv")
+        _, _, rows = _skew_axioms(model, rt.out_dir, "validate_skew.csv")
         for axiom, status, value, tol in rows:
             print(f"{axiom}: {status} (worst {value}, tolerance {tol})")
         ok = all(r[1] == "pass" for r in rows)
@@ -200,7 +201,7 @@ def cmd_srb(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 def cmd_cohomology(cfg: ExperimentConfig, rt: Runtime) -> int:
     _, base_map, roof = _flow_parts(cfg)
-    report = witness_search(roof, max_period=cfg.run.max_period)
+    report = witness_search(roof, max_period=_WITNESS_PERIOD)
     _write_artifact(rt.out_dir, "witness.csv", report.to_csv())
     if report.found:
         w = report.witness
@@ -212,12 +213,7 @@ def cmd_cohomology(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
     m = build_map(cfg)
-    if cfg.run.base_cell >= m.n_cells:
-        raise ConfigError(
-            f"base_cell {cfg.run.base_cell} is not a cell of the {m.n_cells}-cell map "
-            f"at {cfg.where('run', 'base_cell')}"
-        )
-    induced = m.induce_first_return(cfg.run.base_cell, cfg.run.depth_cap)
+    induced = m.induce_first_return(0, cfg.run.depth_cap)  # returns to the leftmost cell
     roof_upper = float(build_roof(cfg, m).upper_bound) if cfg.roof else 1.0
     try:
         stats = tail_statistics(induced, roof_upper_bound=roof_upper)
@@ -243,7 +239,7 @@ def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
 def cmd_correlate(cfg: ExperimentConfig, rt: Runtime) -> int:
     flow_base, base_map, roof = _flow_parts(cfg)
     susp = suspend(flow_base, roof, base_density=_base_density(cfg, base_map))
-    times = susp.default_times(cfg.run.dt, cfg.run.t_max)
+    times = susp.default_times(t_max=cfg.run.t_max)
     for name, phi, psi in default_observables(susp):
         series = correlation(
             susp,
@@ -253,12 +249,10 @@ def cmd_correlate(cfg: ExperimentConfig, rt: Runtime) -> int:
             samples=cfg.run.samples,
             seed=rt.seed,
             threads=rt.threads,
-            batch_size=cfg.run.batch_size,
-            fiber_depth=cfg.run.fiber_depth,
         )
         _write_artifact(rt.out_dir, f"correlation_{name}.csv", series.to_csv())
         try:
-            fit = fit_rate(series, noise_floor_mult=cfg.run.noise_floor_mult)
+            fit = fit_rate(series)
             _write_artifact(rt.out_dir, f"fit_{name}.txt", fit.summary())
             print(f"{name}: {fit.verdict}, gamma {fit.decay_rate:.6f} +- {fit.slope_stderr:.6f}, r2 {fit.r_squared:.3f}")
         except WindowTooShort as exc:
@@ -273,22 +267,21 @@ def cmd_correlate(cfg: ExperimentConfig, rt: Runtime) -> int:
 def cmd_tdist(cfg: ExperimentConfig, rt: Runtime) -> int:
     flow_base, base_map, roof = _flow_parts(cfg)
     susp = suspend(flow_base, roof)
-    g = cfg.run.grid
-    points = [Fraction(2 * i + 1, 2 * g) for i in range(g)]
+    points = _grid16()
     worst, body = _tdist_grid(susp, points, depth=cfg.run.depth)
     _write_artifact(rt.out_dir, "tdist.csv", body)
-    print(f"max |temporal distance| {float(worst):.10g} over {g}x{g} grid at depth {cfg.run.depth}")
+    print(f"max |temporal distance| {float(worst):.10g} over {len(points)}x{len(points)} grid at depth {cfg.run.depth}")
     return 0
 
 
 def cmd_solenoid(cfg: ExperimentConfig, rt: Runtime) -> int:
     model = build_solenoid(cfg)
     kappa = float(model.kappa)
-    worst, overshoot, rows = _skew_axioms(cfg, model, rt.out_dir, "solenoid_axioms.csv")
+    worst, overshoot, rows = _skew_axioms(model, rt.out_dir, "solenoid_axioms.csv")
     domination = check_domination(model)
     _write_artifact(rt.out_dir, "domination.csv", domination.to_csv())
-    theta, z = attractor_sample(model, n=cfg.run.samples, burn_in=cfg.run.burn_in, seed=rt.seed)
-    dist_bound = kappa**cfg.run.burn_in * 2.0 * float(model.fiber_radius)
+    theta, z = attractor_sample(model, n=cfg.run.samples, seed=rt.seed)
+    dist_bound = kappa**BURN_IN * 2.0 * float(model.fiber_radius)
     _write_artifact(rt.out_dir, "cloud.csv", cloud_csv(theta, z, dist_bound))
     ok = all(r[1] == "pass" for r in rows) and domination.passed
     print(f"contraction worst {worst:.12g} (kappa {kappa:.12g}), invariance overshoot {overshoot:.3e}")
@@ -356,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"worker processes, 1 to {MAX_THREADS} (default: logical cores)",
         )
         p.add_argument("--out", help="artifact directory")
-        p.add_argument("--format", choices=_FORMATS, help="artifact formats")
+        p.add_argument("--format", choices=_FORMATS, default="csv", help="artifact formats")
     return parser
 
 

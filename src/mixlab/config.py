@@ -8,10 +8,10 @@ typos fail loudly instead of silently running defaults.
 
 Values that feed exact arithmetic (breakpoints, slopes, roof
 coefficients, solenoid geometry) parse as Fractions, accepting both
-"1/3" and "0.25" spellings.  Purely statistical knobs (dt, tolerances)
-parse as floats.  Sizes that allocate are bounded: [run] threads, the
-number of worker processes, is at most MAX_THREADS (256) and bins at most
-MAX_BINS (8192).
+"1/3" and "0.25" spellings.  [run] t_max, the span of the correlation
+time grid, parses as a float of at least one grid step (DEFAULT_DT).
+[run] bins allocates a bins x bins matrix and is at most MAX_BINS (8192).
+The worker count and artifact format come from the command line alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .roof import (
 )
 from .solenoid import SolenoidModel
 from .solenoid import build as build_solenoid_model
-from .suspension import MAX_THREADS
+from .suspension import DEFAULT_DT
 
 # build_ulam allocates a dense bins x bins float64 matrix: 8192 bins is 512 MB
 MAX_BINS = 8192
@@ -68,26 +68,8 @@ _ROOF_KEYS = {
     "bump_radius",
     "bump_amplitude",
 }
-_RUN_KEYS = {
-    "seed",
-    "threads",
-    "samples",
-    "batch_size",
-    "depth",
-    "depth_cap",
-    "fiber_depth",
-    "max_period",
-    "probes",
-    "pairs",
-    "dt",
-    "t_max",
-    "noise_floor_mult",
-    "base_cell",
-    "grid",
-    "bins",
-    "burn_in",
-}
-_OUTPUT_KEYS = {"out_dir", "format"}
+_RUN_KEYS = {"seed", "samples", "depth", "depth_cap", "t_max", "bins"}
+_OUTPUT_KEYS = {"out_dir"}
 _SECTIONS = {
     "model": _MODEL_KEYS,
     "roof": _ROOF_KEYS,
@@ -99,28 +81,16 @@ _SECTIONS = {
 @dataclass(frozen=True)
 class RunSettings:
     seed: int = 42
-    threads: int | None = None
     samples: int = 200_000
-    batch_size: int = 50_000
     depth: int = 20
     depth_cap: int = 40
-    fiber_depth: int = 30
-    max_period: int = 8
-    probes: int = 10_000
-    pairs: int = 100_000
-    dt: float = 0.1
     t_max: float | None = None
-    noise_floor_mult: float = 3.0
-    base_cell: int = 0
-    grid: int = 16
     bins: int = 1024
-    burn_in: int = 30
 
 
 @dataclass(frozen=True)
 class OutputSettings:
     out_dir: str = "out"
-    format: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -186,13 +156,11 @@ def parse_config(text: str, path: str = "<string>") -> ExperimentConfig:
     def section(name: str) -> dict[str, str]:
         return dict(parser[name]) if parser.has_section(name) else {}
 
-    run = _parse_run(section("run"), path, lines)
-    output = _parse_output(section("output"), path, lines)
     return ExperimentConfig(
         model=section("model"),
         roof=section("roof"),
-        run=run,
-        output=output,
+        run=_parse_run(section("run"), path, lines),
+        output=OutputSettings(**section("output")),
         path=path,
         lines=lines,
     )
@@ -224,56 +192,29 @@ def _get_int(raw, path, lines, section, key, lo=None, hi=None):
     return val
 
 
-def _get_float(raw, path, lines, section, key, positive=False):
+def _get_float(raw, path, lines, section, key):
     try:
-        val = float(Fraction(raw[key]))
+        return float(Fraction(raw[key]))
     except (ValueError, ZeroDivisionError):
         _fail(path, lines, section, key, f"expected number, got {raw[key]!r}")
-    if positive and not val > 0:
-        _fail(path, lines, section, key, f"value {val} must be positive")
-    return val
 
 
 def _parse_run(raw: dict[str, str], path, lines) -> RunSettings:
     kw = {}
-    ints = {
-        "samples": 2,
-        "batch_size": 1,
-        "depth": 1,
-        "depth_cap": 1,
-        "fiber_depth": 0,
-        "max_period": 2,
-        "probes": 1,
-        "pairs": 1,
-        "base_cell": 0,
-        "grid": 1,
-        "burn_in": 0,
-    }
     if "seed" in raw:
         kw["seed"] = _get_int(raw, path, lines, "run", "seed", lo=0, hi=2**64 - 1)
-    if "threads" in raw:
-        kw["threads"] = _get_int(raw, path, lines, "run", "threads", lo=1, hi=MAX_THREADS)
     if "bins" in raw:
         kw["bins"] = _get_int(raw, path, lines, "run", "bins", lo=1, hi=MAX_BINS)
-    for key, lo in ints.items():
+    for key, lo in (("samples", 2), ("depth", 1), ("depth_cap", 1)):
         if key in raw:
             kw[key] = _get_int(raw, path, lines, "run", key, lo=lo)
-    for key in ("dt", "t_max", "noise_floor_mult"):
-        if key in raw:
-            kw[key] = _get_float(raw, path, lines, "run", key, positive=True)
+    if "t_max" in raw:
+        t_max = _get_float(raw, path, lines, "run", "t_max")
+        if not t_max >= DEFAULT_DT:
+            # a shorter span may round to a one-point time grid
+            _fail(path, lines, "run", "t_max", f"value {t_max} below the grid step {DEFAULT_DT}")
+        kw["t_max"] = t_max
     return RunSettings(**kw)
-
-
-def _parse_output(raw: dict[str, str], path, lines) -> OutputSettings:
-    kw = {}
-    if "out_dir" in raw:
-        kw["out_dir"] = raw["out_dir"]
-    if "format" in raw:
-        fmt = raw["format"].strip()
-        if fmt not in ("csv", "csv+svg"):
-            _fail(path, lines, "output", "format", f"expected csv or csv+svg, got {fmt!r}")
-        kw["format"] = fmt
-    return OutputSettings(**kw)
 
 
 # -- builders -------------------------------------------------------------

@@ -31,6 +31,7 @@ WITNESS_THRESHOLD = 1e-10
 # a polynomial enclosure stops subdividing once no piece reaches beyond the
 # attained values by more than this fraction of their largest magnitude
 ENCLOSURE_RTOL = Fraction(1, 1000)
+_COBOUNDARY_PROBES = 10_000  # certify_coboundary's probe points per branch
 
 # sup of |d/du (1-u^2)^3| on [-1,1] is 96/(25*sqrt(5)), attained at u=1/sqrt(5)
 _BUMP_SLOPE_SUP = 96.0 / (25.0 * math.sqrt(5.0))
@@ -489,20 +490,17 @@ def witness_search(roof: RoofFunction, max_period: int) -> CohomologyReport:
 # -- coboundary certification -------------------------------------------------
 
 
-def certify_coboundary(
-    roof: RoofFunction, gamma_coboundary: Callable, probes: int = 2_000
-) -> float:
+def certify_coboundary(roof: RoofFunction, gamma_coboundary: Callable) -> float:
     """Worst per-branch range of r - gamma o f + gamma over probe points.
 
     Zero (up to roundoff) certifies that the supplied transfer term makes
     the roof constant on every partition cell.  The returned deviation is
-    sup - inf within the worst branch.  `gamma_coboundary` takes an array.
+    sup - inf within the worst branch, over _COBOUNDARY_PROBES
+    low-discrepancy points per branch.  `gamma_coboundary` takes an array.
     """
-    if probes < 2:
-        raise ValueError("probes must be >= 2")
     base = roof.base
     k = np.arange(base.n_cells)[:, None]
-    xs = low_discrepancy(probes, base.edges_f[:-1, None], base.edges_f[1:, None], 0.29 * k)
+    xs = low_discrepancy(_COBOUNDARY_PROBES, base.edges_f[:-1, None], base.edges_f[1:, None], 0.29 * k)
     fx = base.slopes_f[:, None] * xs + base.intercepts_f[:, None]
     vals = (
         roof.value_many(xs)

@@ -19,6 +19,7 @@ from .errors import GeometryViolation
 from .skew_product import AffineFiberFamily, HyperbolicSkewProduct
 
 _DOMINATION_PROBES = 256  # probe angles of the empirical domination product
+BURN_IN = 30  # attractor_sample's default steps; the CLI bounds its cloud by kappa**BURN_IN
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def check_domination(model: SolenoidModel) -> DominationReport:
 
 
 def attractor_sample(
-    model: SolenoidModel, n: int, burn_in: int = 30, seed: int = 0
+    model: SolenoidModel, n: int, burn_in: int = BURN_IN, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(theta, z) cloud after burn-in iterations from seeded random starts.
 

@@ -40,7 +40,11 @@ from .transfer_operator import InvariantDensity, integrate
 DEFAULT_DT = 0.1
 DEFAULT_SPAN_MULT = 30.0
 DEFAULT_BATCH = 50_000
-# most worker processes `correlation` takes, and so the bound on [run] threads and --threads
+# base steps a skew-base sample is pushed from the disk centre before it is read
+FIBER_DEPTH = 30
+# fit_rate's noise floor, in multiples of the largest standard error
+NOISE_FLOOR_MULT = 3.0
+# most worker processes `correlation` takes, and so the bound on --threads
 MAX_THREADS = 256
 # Gauss-Legendre nodes for the roof average over the base
 _QUAD_SAMPLES = 4096
@@ -160,10 +164,10 @@ def _draw_base(susp: SuspensionSemiflow, rng, m: int) -> np.ndarray:
     return edges[k] + frac * (edges[k + 1] - edges[k])
 
 
-def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30):
+def _sample_arrays(susp: SuspensionSemiflow, rng, n: int):
     """Length-biased sampler for the normalized suspension measure.
 
-    Proposes base points from the invariant density, pushed `fiber_depth`
+    Proposes base points from the invariant density, pushed FIBER_DEPTH
     base steps on skew bases, accepts with probability r(x)/roof_sup, and
     draws the height uniformly on [0, r(x)).  Only accepted proposals carry
     a fiber point, pushed from the disk centre along their own base orbit.
@@ -181,7 +185,7 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
         m = max(1024, int(1.5 * (n - filled)))
         cand0 = cand = _draw_base(susp, rng, m)
         if sk is not None:
-            for _ in range(fiber_depth):
+            for _ in range(FIBER_DEPTH):
                 cand = bm.evaluate_many(cand)
         r = roof_many(cand)
         u01 = rng.random(m)
@@ -191,7 +195,7 @@ def _sample_arrays(susp: SuspensionSemiflow, rng, n: int, fiber_depth: int = 30)
         xs[filled : filled + take] = cand[sel]
         us[filled : filled + take] = u01[sel] * r[sel]
         if sk is not None:
-            sk.push(cand0[sel], zs[filled : filled + take], fiber_depth)
+            sk.push(cand0[sel], zs[filled : filled + take], FIBER_DEPTH)
         filled += take
     return xs, zs, us
 
@@ -258,13 +262,14 @@ def correlation(
     seed: int = 0,
     threads: int = 1,
     batch_size: int = DEFAULT_BATCH,
-    fiber_depth: int = 30,
 ) -> CorrelationSeries:
     """Monte Carlo correlation rho(t) = E[phi o X^t . psi] - E[phi] E[psi].
 
     Observables take (x, u) over a map base and (x, u, z) over a skew base
     and must accept numpy arrays.  Means are subtracted in control-variate
     form using the same sample; standard errors come from batch means.
+    Over a skew base each sample's fiber point starts at the disk centre
+    and is pushed FIBER_DEPTH base steps along its own orbit.
     The batch layout depends only on (samples, batch_size, seed), so the
     thread count never changes the output.
 
@@ -309,7 +314,7 @@ def correlation(
 
     def run_batch(b: int):
         rng = np.random.default_rng([int(seed), int(b)])
-        x, z, u = _sample_arrays(susp, rng, per_batch, fiber_depth)
+        x, z, u = _sample_arrays(susp, rng, per_batch)
         # a copy: psi may return a view of the state, which the advance overwrites
         psi0 = np.array(_eval_obs(psi, x, u, z), dtype=float)
         if omega is None:
@@ -527,10 +532,10 @@ class DecayFit:
         return "\n".join(lines) + "\n"
 
 
-def fit_rate(series: CorrelationSeries, noise_floor_mult: float = 3.0) -> DecayFit:
+def fit_rate(series: CorrelationSeries) -> DecayFit:
     """Fit log |rho| = log C - gamma t on points above the noise floor.
 
-    The floor is noise_floor_mult times the largest standard error; fewer
+    The floor is NOISE_FLOOR_MULT times the largest standard error; fewer
     than eight points above it raises WindowTooShort.  The verdict is
     NoDecay whenever the 95 percent slope interval reaches zero, and
     ExponentialDecay otherwise.
@@ -538,7 +543,7 @@ def fit_rate(series: CorrelationSeries, noise_floor_mult: float = 3.0) -> DecayF
     vals = np.asarray(series.values, dtype=float)
     errs = np.asarray(series.std_errors, dtype=float)
     times = np.asarray(series.times, dtype=float)
-    floor = float(noise_floor_mult) * float(errs.max(initial=0.0))
+    floor = NOISE_FLOOR_MULT * float(errs.max(initial=0.0))
     idx = np.nonzero(np.abs(vals) > floor)[0]
     if len(idx) < 8:
         raise WindowTooShort(

@@ -32,8 +32,11 @@ import numpy as np
 from .errors import BinMisalignment, MixlabError, NoConvergence, NotAffineMarkov
 from .markov_maps import ExpandingMarkovMap
 
-POWER_TOL = 1e-10
-POWER_CAP = 100_000
+POWER_TOL = 1e-10  # invariant_density's L1 residual target
+POWER_CAP = 100_000  # most power-iteration steps either iteration takes
+# spectral_gap: relative change between windowed estimates, and the window length
+_GAP_TOL = 1e-8
+_GAP_WINDOW = 8
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -181,19 +184,19 @@ class InvariantDensity:
         return "\n".join(lines) + "\n"
 
 
-def invariant_density(
-    op: UlamOperator, tol: float = POWER_TOL, max_iterations: int = POWER_CAP
-) -> InvariantDensity:
+def invariant_density(op: UlamOperator) -> InvariantDensity:
     """Power-iterate the adjoint of the bin matrix to its fixed mass vector.
 
     Deterministic uniform start; residual is the L1 distance between
-    successive mass vectors, equal to the L1 defect of the density.
+    successive mass vectors, equal to the L1 defect of the density.  The
+    iteration stops once the residual is at most POWER_TOL and raises
+    NoConvergence after POWER_CAP steps.
     """
     m = op.matrix
     n = op.bins
     p = np.full(n, 1.0 / n)
     residual = math.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, POWER_CAP + 1):
         q = p @ m
         q_sum = q.sum()
         if q_sum <= 0:
@@ -201,30 +204,27 @@ def invariant_density(
         q /= q_sum
         residual = float(np.abs(q - p).sum())
         p = q
-        if residual <= tol:
+        if residual <= POWER_TOL:
             break
     else:
-        raise NoConvergence(f"power iteration residual {residual:.3e} after {max_iterations} steps")
+        raise NoConvergence(f"power iteration residual {residual:.3e} after {POWER_CAP} steps")
     edges = op.bin_edges
     widths = np.diff(edges)
     values = p / widths
     return InvariantDensity(bin_edges=edges, values=values, residual=residual, iterations=it)
 
 
-def spectral_gap(
-    op: UlamOperator | PolynomialOperator,
-    tol: float = 1e-8,
-    max_iterations: int = POWER_CAP,
-    window: int = 8,
-) -> float:
+def spectral_gap(op: UlamOperator | PolynomialOperator) -> float:
     """Modulus of the second eigenvalue via deflated power iteration.
 
     The leading pair from ``op.leading_pair()`` is projected out (for
     Ulam: right eigenvector 1, left eigenvector the invariant masses; for
     the polynomial operator: right eigenvector the invariant density, left
     eigenvector the integral); the growth rate of the deflated matrix
-    power is averaged over a window to tolerate complex or negative
-    eigenvalues.
+    power is averaged over windows of _GAP_WINDOW steps to tolerate
+    complex or negative eigenvalues.  Two successive window averages
+    within relative _GAP_TOL end the iteration; none within POWER_CAP
+    steps raises NoConvergence.
     """
     m = op.matrix
     n = len(m)
@@ -243,7 +243,7 @@ def spectral_gap(
     estimate = None
     log_acc = 0.0
     steps = 0
-    for _ in range(max_iterations):
+    for _ in range(POWER_CAP):
         w = apply_deflated(v)
         nw = np.linalg.norm(w)
         if nw <= 1e-300:
@@ -251,10 +251,10 @@ def spectral_gap(
         log_acc += math.log(nw)
         steps += 1
         v = w / nw
-        if steps == window:
-            current = math.exp(log_acc / window)
+        if steps == _GAP_WINDOW:
+            current = math.exp(log_acc / _GAP_WINDOW)
             log_acc, steps = 0.0, 0
-            if estimate is not None and abs(current - estimate) <= tol * max(current, 1.0):
+            if estimate is not None and abs(current - estimate) <= _GAP_TOL * max(current, 1.0):
                 return current
             estimate = current
     raise NoConvergence("second-eigenvalue estimate did not stabilize")

@@ -13,7 +13,7 @@ See the docstrings of ``check_transfer_operator`` and
 The final test re-runs the whole battery through the command line in two
 separate processes with different thread counts and byte-compares the
 artifact trees, which is the reproducibility contract stated in the
-README.
+module docstring of ``mixlab.cli``.
 """
 
 import subprocess

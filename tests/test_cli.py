@@ -43,7 +43,6 @@ name = three_branch
 [run]
 seed = 5
 bins = 63
-base_cell = 0
 depth_cap = 12
 """
 
@@ -62,9 +61,6 @@ value = 1
 [run]
 seed = 5
 samples = 200
-pairs = 500
-probes = 200
-burn_in = 5
 depth = 8
 """
 
@@ -260,7 +256,7 @@ def test_tails_reads_roof_bound_over_the_whole_domain(tmp_path):
         "[model]\nkind = affine_markov\nbreakpoints = 0, 1, 2, 3\nslopes = 2, 3, 3\n"
         "intercepts = 1, -3, -6\ntransition = 0 1 1; 1 1 1; 1 1 1\n\n"
         + XSQ_ROOF
-        + "[run]\nbase_cell = 0\ndepth_cap = 12\n"
+        + "[run]\ndepth_cap = 12\n"
     )
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
     assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(10.0, rel=1e-3)
@@ -272,7 +268,7 @@ def test_tails_probes_a_domain_away_from_zero(tmp_path):
         "[model]\nkind = affine_markov\nbreakpoints = 2, 3, 4\nslopes = 2, 2\n"
         "intercepts = -2, -4\ntransition = 1 1; 1 1\n\n"
         "[roof]\nkind = per_branch\ncoeffs = 1 | 2\n\n"
-        "[run]\nbase_cell = 0\ndepth_cap = 12\n"
+        "[run]\ndepth_cap = 12\n"
     )
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
     assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(2.0, rel=1e-6)
@@ -298,8 +294,6 @@ CORR_RUN = """\
 [run]
 seed = 5
 samples = 2000
-batch_size = 500
-dt = 1/2
 t_max = 3
 """
 
@@ -309,19 +303,16 @@ def test_correlate_artifacts(tmp_path):
     assert run(tmp_path, "correlate", "--config", cfg) == 0
     series = _read(tmp_path, "correlation_height_mix.csv").decode()
     assert series.startswith("t,rho,stderr\r\n")
-    assert len(series.strip().splitlines()) == 8  # header + 7 times
+    assert len(series.strip().splitlines()) == 32  # header + 31 times, 0.1 apart
     fit = _read(tmp_path, "fit_height_mix.txt").decode()
     assert "verdict=" in fit
 
 
 def test_correlate_svg_when_requested(tmp_path):
-    text = (
-        DOUBLING.split("[run]")[0]
-        + XSQ_ROOF
-        + CORR_RUN
-        + "\n[output]\nformat = csv+svg\n"
-    )
-    assert run(tmp_path, "correlate", "--config", _cfg(tmp_path, text)) == 0
+    cfg = _cfg(tmp_path, DOUBLING.split("[run]")[0] + XSQ_ROOF + CORR_RUN)
+    assert run(tmp_path, "correlate", "--config", cfg) == 0
+    assert not (tmp_path / "out" / "correlation_height_mix.svg").exists()
+    assert run(tmp_path, "correlate", "--config", cfg, "--format", "csv+svg") == 0
     assert b"<svg" in _read(tmp_path, "correlation_height_mix.svg")
 
 
@@ -376,11 +367,11 @@ def test_correlate_seed_changes_bytes(tmp_path):
 
 
 def test_tdist_grid(tmp_path):
-    text = DOUBLING.split("[run]")[0] + XSQ_ROOF + "[run]\nseed = 5\ngrid = 4\ndepth = 10\n"
+    text = DOUBLING.split("[run]")[0] + XSQ_ROOF + "[run]\nseed = 5\ndepth = 10\n"
     assert run(tmp_path, "tdist", "--config", _cfg(tmp_path, text)) == 0
     rows = _read(tmp_path, "tdist.csv").decode().strip().splitlines()
     assert rows[0] == "x,y,value,truncation_bound"
-    assert len(rows) == 17  # 4x4 midpoint pairs
+    assert len(rows) == 257  # 16x16 midpoint pairs
 
 
 # -- solenoid ----------------------------------------------------------------------
@@ -445,12 +436,12 @@ def test_huge_bins_is_a_config_error(tmp_path, capsys):
     "command, text, key",
     [
         ("correlate", DOUBLING + "samples = 1\n" + XSQ_ROOF, "samples"),
-        ("cohomology", DOUBLING + "max_period = 1\n" + XSQ_ROOF, "max_period"),
-        ("tails", THREE_BRANCH.replace("base_cell = 0", "base_cell = 7"), "base_cell"),
+        ("correlate", DOUBLING + "t_max = 1/100\n" + XSQ_ROOF, "t_max"),
     ],
 )
 def test_run_values_the_library_rejects_are_config_errors(tmp_path, capsys, command, text, key):
-    # each would otherwise reach a library ValueError and exit 1 with a traceback
+    # samples would otherwise reach a library ValueError and exit 1 with a
+    # traceback; t_max rounds to a one-point time grid, whose plot reads nan
     line = next(i for i, ln in enumerate(text.splitlines(), start=1) if ln.startswith(key))
     assert run(tmp_path, command, "--config", _cfg(tmp_path, text)) == 2
     err = capsys.readouterr().err

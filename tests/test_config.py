@@ -23,11 +23,10 @@ name = doubling
 [run]
 seed = 7
 bins = 128
-dt = 1/10
+t_max = 1/10
 
 [output]
 out_dir = /tmp/x
-format = csv+svg
 """
 
 
@@ -36,9 +35,8 @@ def test_defaults_without_any_config():
     assert cfg.run.seed == 42
     assert cfg.run.bins == 1024
     assert cfg.run.samples == 200_000
-    assert cfg.run.threads is None
+    assert cfg.run.t_max is None
     assert cfg.output.out_dir == "out"
-    assert cfg.output.format == "csv"
     assert cfg.path == "<defaults>"
 
 
@@ -47,8 +45,8 @@ def test_parse_happy_path():
     assert cfg.model["name"] == "doubling"
     assert cfg.run.seed == 7
     assert cfg.run.bins == 128
-    assert cfg.run.dt == pytest.approx(0.1)
-    assert cfg.output.format == "csv+svg"
+    assert cfg.run.t_max == pytest.approx(0.1)
+    assert cfg.output.out_dir == "/tmp/x"
     assert cfg.lines[("run", "seed")] == 6
     assert "line 6" in cfg.where("run", "seed")
 
@@ -81,25 +79,48 @@ def test_seed_range_is_sixty_four_bit():
 def test_numeric_validation_messages():
     with pytest.raises(ConfigError, match="expected integer"):
         parse_config("[run]\nbins = many\n")
-    with pytest.raises(ConfigError, match="must be positive"):
-        parse_config("[run]\ndt = 0\n")
     with pytest.raises(ConfigError, match="expected number"):
         parse_config("[run]\nt_max = soon\n")
     with pytest.raises(ConfigError, match="below minimum"):
-        parse_config("[run]\nthreads = 0\n")
+        parse_config("[run]\nsamples = 1\n")
+
+
+def test_t_max_is_at_least_one_grid_step():
+    # a shorter span would round to a one-point time grid
+    assert parse_config("[run]\nt_max = 1/10\n").run.t_max == 0.1
+    for value in ("0", "-1", "1/100", "0.0999"):
+        with pytest.raises(ConfigError, match=r"below the grid step 0\.1 for 't_max'.*line 3\)"):
+            parse_config(f"[run]\nseed = 1\nt_max = {value}\n")
 
 
 def test_allocating_sizes_have_a_maximum():
-    assert parse_config("[run]\nthreads = 256\nbins = 8192\n").run.bins == 8192
-    with pytest.raises(ConfigError, match="above maximum 256 for 'threads'"):
-        parse_config("[run]\nthreads = 257\n")
+    assert parse_config("[run]\nbins = 8192\n").run.bins == 8192
     with pytest.raises(ConfigError, match="above maximum 8192 for 'bins'"):
         parse_config("[run]\nbins = 8193\n")
 
 
-def test_format_whitelist():
-    with pytest.raises(ConfigError, match="expected csv or csv\\+svg"):
-        parse_config("[output]\nformat = pdf\n")
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("run", "threads", "2"),
+        ("run", "batch_size", "500"),
+        ("run", "fiber_depth", "30"),
+        ("run", "probes", "10000"),
+        ("run", "noise_floor_mult", "3"),
+        ("run", "grid", "16"),
+        ("run", "pairs", "100000"),
+        ("run", "burn_in", "30"),
+        ("run", "dt", "0.1"),
+        ("run", "max_period", "8"),
+        ("run", "base_cell", "0"),
+        ("output", "format", "csv+svg"),
+    ],
+)
+def test_fixed_settings_are_not_config_keys(section, key, value):
+    # no committed config varies them: each is a constant, or a flag (threads, format)
+    text = f"[model]\nname = doubling\n\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\] \(bad\.cfg, line 5\)"):
+        parse_config(text, path="bad.cfg")
 
 
 def test_load_config_missing_file():

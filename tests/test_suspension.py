@@ -21,6 +21,7 @@ from mixlab.markov_maps import (
 from mixlab.roof import constant_roof, per_branch_polynomial_roof, perturb_bump, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
+    FIBER_DEPTH,
     MAX_THREADS,
     CorrelationSeries,
     correlation,
@@ -254,7 +255,7 @@ def test_sample_invariant_respects_roof():
 
 def test_sampler_pushes_only_accepted_fibers(monkeypatch):
     # the constant roof accepts every proposal of the first batch, so exactly
-    # n fiber points are pushed fiber_depth steps each; the base orbit of the
+    # n fiber points are pushed FIBER_DEPTH steps each; the base orbit of the
     # whole batch still decides acceptance
     from mixlab.skew_product import AffineFiberFamily
 
@@ -267,13 +268,14 @@ def test_sampler_pushes_only_accepted_fibers(monkeypatch):
 
     monkeypatch.setattr(AffineFiberFamily, "__call__", counted)
     susp = _solenoid_susp()
-    xs, zs, us = _sample_arrays(susp, np.random.default_rng(4), 10_000, fiber_depth=30)
-    assert sum(pushed) == 30 * 10_000
+    xs, zs, us = _sample_arrays(susp, np.random.default_rng(4), 10_000)
+    assert FIBER_DEPTH == 30  # the depth perfbench's solenoid correlation reference assumes
+    assert sum(pushed) == FIBER_DEPTH * 10_000
     monkeypatch.undo()
     # each fiber point is the disk center pushed along its own base orbit
     y = np.random.default_rng(4).random(15_000)[:10_000]
     z = np.zeros((10_000, 2))
-    for _ in range(30):
+    for _ in range(FIBER_DEPTH):
         z = susp.skew.fiber_map(y, z)
         y = susp.base_map.evaluate_many(y)
     assert xs.tobytes() == y.tobytes()

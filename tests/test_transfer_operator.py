@@ -23,6 +23,7 @@ from mixlab.markov_maps import (
     expanding_circle_map,
     three_branch_map,
 )
+from mixlab import transfer_operator
 from mixlab.transfer_operator import (
     apply_exact,
     build_ulam,
@@ -303,9 +304,10 @@ def test_invariant_density_csv_shape():
     assert len(text.strip().splitlines()) == 5
 
 
-def test_invariant_density_iteration_cap():
-    with pytest.raises(NoConvergence):
-        invariant_density(build_ulam(three_branch_map(), 9), tol=1e-12, max_iterations=1)
+def test_invariant_density_iteration_cap(monkeypatch):
+    monkeypatch.setattr(transfer_operator, "POWER_CAP", 1)
+    with pytest.raises(NoConvergence, match="after 1 steps"):
+        invariant_density(build_ulam(three_branch_map(), 9))
 
 
 # -- second eigenvalue -------------------------------------------------------
@@ -343,11 +345,12 @@ def test_second_modulus_of_stochastic_matrices_at_most_one():
             assert lam[1] <= 1.0 + 1e-9
 
 
-def test_spectral_gap_flags_nonstabilizing_estimate():
+def test_spectral_gap_flags_nonstabilizing_estimate(monkeypatch):
     # 22 bins put many equal-modulus rotating eigenvalues in play; the
     # windowed growth estimate beats forever instead of settling
+    monkeypatch.setattr(transfer_operator, "POWER_CAP", 3000)
     with pytest.raises(NoConvergence):
-        spectral_gap(build_ulam(doubling_map(), 22), max_iterations=3000)
+        spectral_gap(build_ulam(doubling_map(), 22))
 
 
 # -- piecewise-polynomial operator --------------------------------------------
