@@ -117,8 +117,6 @@ def _flow_parts(cfg: ExperimentConfig):
     else:
         base_map = build_map(cfg)
         flow_base = base_map
-    if not cfg.roof:
-        raise ConfigError(f"[roof] section required ({cfg.path})")
     return flow_base, base_map, build_roof(cfg, base_map)
 
 

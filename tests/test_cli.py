@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixlab import cli
 from mixlab.cli import Runtime, _base_density, main
 from mixlab.config import ExperimentConfig, build_map, load_config
 from mixlab.errors import CrossingBudgetExceeded, MixlabError
-from mixlab.markov_maps import doubling_map
+from mixlab.markov_maps import AffineBranch, ExpandingMarkovMap, doubling_map
 from mixlab.roof import per_branch_polynomial_roof
 from mixlab.suspension import correlation, default_observables, suspend
 
@@ -82,6 +83,24 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path / "out")])
 
 
+def _affine_map(edges, slopes, intercepts, transition, expansion_bound):
+    # no config kind names an affine Markov map: tests that run the CLI on
+    # one patch it in as `cli.build_map`
+    branches = [
+        AffineBranch(Fraction(lo), Fraction(hi), Fraction(s), Fraction(c))
+        for lo, hi, s, c in zip(edges, edges[1:], slopes, intercepts)
+    ]
+    return ExpandingMarkovMap(branches, transition, expansion_bound=expansion_bound)
+
+
+def _wide_tripling(expansion_bound=1 / 3):
+    # x -> 3x mod 3*2^20 on three cells of width 2^20 = 1048576
+    w = 1048576
+    return _affine_map(
+        [0, w, 2 * w, 3 * w], [3, 3, 3], [0, -3 * w, -6 * w], [[1, 1, 1]] * 3, expansion_bound
+    )
+
+
 # -- validate ------------------------------------------------------------------
 
 
@@ -93,19 +112,9 @@ def test_validate_map_pass(tmp_path):
     assert b"\r\n" in text and b"fail" not in text
 
 
-# x -> 3x mod 3*2^20 on three cells of width 2^20 = 1048576
-WIDE_TRIPLING = """\
-[model]
-kind = affine_markov
-breakpoints = 0, 1048576, 2097152, 3145728
-slopes = 3, 3, 3
-intercepts = 0, -3145728, -6291456
-transition = 1 1 1; 1 1 1; 1 1 1
-"""
-
-
-def test_validate_reads_markov_images_exactly_on_a_wide_domain(tmp_path, capsys):
-    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, WIDE_TRIPLING)) == 0
+def test_validate_reads_markov_images_exactly_on_a_wide_domain(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_map", lambda cfg: _wide_tripling())
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, DOUBLING)) == 0
     assert _read(tmp_path, "validate_map.csv") == (
         b"axiom,status,worst_probe,location,tolerance\r\n"
         b"markov_images,pass,0,0,0\r\n"
@@ -114,9 +123,9 @@ def test_validate_reads_markov_images_exactly_on_a_wide_domain(tmp_path, capsys)
     assert "bijectivity" not in capsys.readouterr().out
 
 
-def test_validate_fails_on_an_expansion_bound_below_the_slopes(tmp_path):
-    text = WIDE_TRIPLING + "expansion_bound = 1/4\n"
-    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 1
+def test_validate_fails_on_an_expansion_bound_below_the_slopes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_map", lambda cfg: _wide_tripling(expansion_bound=1 / 4))
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, DOUBLING)) == 1
     assert b"expansion,fail,0.33333333333333331,0," in _read(tmp_path, "validate_map.csv")
 
 
@@ -151,10 +160,6 @@ def test_validate_fails_on_false_roof_claim(tmp_path, capsys):
     [
         "kind = constant\nvalue = -1",
         "kind = polynomial\ncoeffs = ",
-        "kind = per_branch\ncoeffs = 1",
-        "kind = constant\nvalue = 1\nbump_center = 1/2\nbump_radius = 0\nbump_amplitude = 1/2",
-        "kind = cosine\nmean = 1\namplitude = 2",
-        "kind = constant\nvalue = 1\nbump_center = 1/2\nbump_radius = 1/8\nbump_amplitude = 3/2",
     ],
 )
 def test_rejected_roof_data_is_a_model_error(tmp_path, capsys, roof):
@@ -165,12 +170,16 @@ def test_rejected_roof_data_is_a_model_error(tmp_path, capsys, roof):
 
 @pytest.mark.parametrize("extra", ["", "expansion_bound = 1/2\n"])
 def test_zero_slope_is_a_config_error(tmp_path, capsys, extra):
+    # no config kind takes slopes: affine data is refused at its first key,
+    # with that key's line, before any slope is read
     text = (
         "[model]\nkind = affine_markov\nbreakpoints = 0, 1/2, 1\nslopes = 0, 2\n"
         "intercepts = 0, -1\ntransition = 1 1; 1 1\n" + extra
     )
     assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 2
-    assert "slopes must all exceed 1 in magnitude" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown key 'breakpoints' in section [model] (" in err and ", line 3)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_solenoid_geometry(tmp_path):
@@ -250,41 +259,35 @@ def _roof_upper_of_tails_fit(tmp_path):
     return float(values["alpha"]) / (2.0 * float(values["sigma0"]))
 
 
-def test_tails_reads_roof_bound_over_the_whole_domain(tmp_path):
+def test_tails_reads_roof_bound_over_the_whole_domain(tmp_path, monkeypatch):
     # three_branch stretched onto [0, 3): the roof 1 + x^2 climbs to 10 there
-    text = (
-        "[model]\nkind = affine_markov\nbreakpoints = 0, 1, 2, 3\nslopes = 2, 3, 3\n"
-        "intercepts = 1, -3, -6\ntransition = 0 1 1; 1 1 1; 1 1 1\n\n"
-        + XSQ_ROOF
-        + "[run]\ndepth_cap = 12\n"
+    stretched = _affine_map(
+        [0, 1, 2, 3], [2, 3, 3], [1, -3, -6], [[0, 1, 1], [1, 1, 1], [1, 1, 1]], 1 / 2
     )
+    monkeypatch.setattr(cli, "build_map", lambda cfg: stretched)
+    text = DOUBLING + "depth_cap = 12\n\n" + XSQ_ROOF
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
     assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(10.0, rel=1e-3)
 
 
-def test_tails_probes_a_domain_away_from_zero(tmp_path):
+def test_tails_probes_a_domain_away_from_zero(tmp_path, monkeypatch):
     # doubling on [2, 4) under a roof equal to 1 on the left cell and 2 on the right
-    text = (
-        "[model]\nkind = affine_markov\nbreakpoints = 2, 3, 4\nslopes = 2, 2\n"
-        "intercepts = -2, -4\ntransition = 1 1; 1 1\n\n"
-        "[roof]\nkind = per_branch\ncoeffs = 1 | 2\n\n"
-        "[run]\ndepth_cap = 12\n"
-    )
+    shifted = _affine_map([2, 3, 4], [2, 2], [-2, -4], [[1, 1], [1, 1]], 1 / 2)
+    monkeypatch.setattr(cli, "build_map", lambda cfg: shifted)
+    monkeypatch.setattr(cli, "build_roof", lambda cfg, m: per_branch_polynomial_roof(m, [(1,), (2,)]))
+    text = DOUBLING + "depth_cap = 12\n\n[roof]\nkind = constant\nvalue = 1\n"
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
     assert _roof_upper_of_tails_fit(tmp_path) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_tails_roof_bound_is_certified_not_probed(tmp_path):
-    # a bump of height 1/2 and width 1/16384 on the roof 1: the certified
-    # bound is 3/2, so sigma0 = alpha / 3 exactly
-    text = THREE_BRANCH + (
-        "\n[roof]\nkind = constant\nvalue = 1\nbump_center = 1001/8192\n"
-        "bump_radius = 1/32768\nbump_amplitude = 1/2\n"
-    )
+    # 1 + x^2 never reaches 2 on [0, 1), but its certified bound is 2, so
+    # tails writes sigma0 = alpha / (2 * 2) exactly
+    text = THREE_BRANCH + "\n" + XSQ_ROOF
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
     rows = _read(tmp_path, "tails_summary.csv").decode().strip().splitlines()[1:]
     values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
-    assert values["sigma0"] == values["alpha"] / 3.0
+    assert values["sigma0"] == values["alpha"] / 4.0
 
 
 # -- correlate --------------------------------------------------------------------
@@ -408,6 +411,15 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = _cfg(tmp_path, "[model]\nname = doubling\nbogus_key = 1\n")
     assert run(tmp_path, "validate", "--config", cfg) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, line", [("Run", "seed = 7"), ("Output", "out_dir = elsewhere")])
+def test_capitalised_section_exits_two(tmp_path, capsys, section, line):
+    # read case-blind, [Run] would validate and then be ignored for the defaults
+    text = DOUBLING + f"\n[{section}]\n{line}\n"
+    assert run(tmp_path, "validate", "--config", _cfg(tmp_path, text)) == 2
+    assert f"unknown section [{section}] (" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_seed_flag_is_usage_error(tmp_path):

@@ -1,9 +1,12 @@
 """Config parsing tests: defaults, diagnostics with line numbers, builders."""
 
+import configparser
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mixlab import config
 from mixlab.config import (
     ExperimentConfig,
     build_map,
@@ -13,6 +16,7 @@ from mixlab.config import (
     parse_config,
 )
 from mixlab.errors import ConfigError
+from mixlab.markov_maps import AffineBranch, ExpandingMarkovMap
 
 
 BASE = """\
@@ -60,6 +64,11 @@ def test_unknown_key_names_key_and_line():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[extras\]"):
         parse_config("[extras]\nx = 1\n", path="bad.cfg")
+    # section names match exactly: [Run] is neither read as [run] nor dropped
+    for section, line in (("Run", "seed = 7"), ("Output", "out_dir = elsewhere")):
+        text = f"[model]\nname = doubling\n\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\] \(bad\.cfg, line 4\)"):
+            parse_config(text, path="bad.cfg")
 
 
 def test_malformed_ini_rejected():
@@ -114,13 +123,51 @@ def test_allocating_sizes_have_a_maximum():
         ("run", "max_period", "8"),
         ("run", "base_cell", "0"),
         ("output", "format", "csv+svg"),
+        ("model", "kind", "affine_markov"),
+        ("model", "breakpoints", "0, 1/2, 1"),
+        ("model", "slopes", "2, 2"),
+        ("model", "intercepts", "0, -1"),
+        ("model", "transition", "1 1; 1 1"),
+        ("model", "expansion_bound", "1/2"),
+        ("model", "name", "circle"),
+        ("model", "degree", "3"),
+        ("roof", "kind", "per_branch"),
+        ("roof", "kind", "cosine"),
+        ("roof", "mean", "1"),
+        ("roof", "amplitude", "1/4"),
+        ("roof", "frequency", "1"),
+        ("roof", "bump_center", "1/2"),
+        ("roof", "bump_radius", "1/8"),
+        ("roof", "bump_amplitude", "1/2"),
     ],
 )
 def test_fixed_settings_are_not_config_keys(section, key, value):
-    # no committed config varies them: each is a constant, or a flag (threads, format)
-    text = f"[model]\nname = doubling\n\n[{section}]\n{key} = {value}\n"
-    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\] \(bad\.cfg, line 5\)"):
-        parse_config(text, path="bad.cfg")
+    # no committed config varies them: each is a constant, a flag (threads,
+    # format) or a library call (the affine and circle maps, the per-branch,
+    # cosine and bumped roofs)
+    text = f"[{section}]\n{key} = {value}\n"
+    if section != "model":
+        text += "\n[model]\nname = doubling\n"
+    with pytest.raises(ConfigError, match=rf"unknown .*'{key}' in section \[{section}\] \(bad\.cfg, line 2\)"):
+        cfg = parse_config(text, path="bad.cfg")
+        build_roof(cfg, build_map(cfg))
+
+
+def test_every_config_key_and_kind_is_set_by_a_committed_config():
+    # the config surface grows only with a committed config that uses it
+    keys, kinds = set(), set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        for section in parser.sections():
+            keys.update((section, key) for key in parser[section])
+            values = parser[section]
+            kinds.update((section, key, values[key]) for key in ("kind", "name") if key in values)
+    assert keys == {(section, key) for section, allowed in config._SECTIONS.items() for key in allowed}
+    accepted = {("model", "kind", kind) for kind in config._MODEL_KINDS}
+    accepted |= {("model", "name", name) for name in config._BUILTIN_MAPS}
+    accepted |= {("roof", "kind", kind) for kind in config._ROOFS}
+    assert kinds == accepted
 
 
 def test_load_config_missing_file():
@@ -134,12 +181,10 @@ def test_load_config_missing_file():
 def test_build_map_builtins():
     assert build_map(parse_config("[model]\nname = doubling\n")).name == "doubling"
     assert build_map(parse_config("[model]\nname = three_branch\n")).n_cells == 3
-    circle = build_map(parse_config("[model]\nname = circle\ndegree = 3\n"))
-    assert circle.n_cells == 3
-    with pytest.raises(ConfigError, match="unknown builtin map"):
+    with pytest.raises(ConfigError, match="unknown builtin map 'squaring'.*; choose doubling or three_branch"):
         build_map(parse_config("[model]\nname = squaring\n"))
-    with pytest.raises(ConfigError, match="missing required key"):
-        build_map(parse_config("[model]\nname = circle\n"))
+    with pytest.raises(ConfigError, match=r"missing required key 'name' in section \[model\] \(<string>, not set\)"):
+        build_map(parse_config("[model]\nkind = builtin\n"))
 
 
 def test_build_map_requires_model_section():
@@ -148,18 +193,19 @@ def test_build_map_requires_model_section():
 
 
 def test_build_map_affine_markov_matches_builtin():
-    text = (
-        "[model]\n"
-        "kind = affine_markov\n"
-        "breakpoints = 0, 1/2, 1\n"
-        "slopes = 2, 2\n"
-        "intercepts = 0, -1\n"
-        "transition = 1 1; 1 1\n"
+    # an affine Markov map is a library call; on doubling's branch data it is
+    # the map that `name = doubling` builds
+    custom = ExpandingMarkovMap(
+        [
+            AffineBranch(Fraction(0), Fraction(1, 2), Fraction(2), Fraction(0)),
+            AffineBranch(Fraction(1, 2), Fraction(1), Fraction(2), Fraction(-1)),
+        ],
+        [[1, 1], [1, 1]],
+        expansion_bound=1 / 2,
     )
-    custom = build_map(parse_config(text))
-    assert custom.n_cells == 2
-    assert custom.expansion_bound == pytest.approx(0.5)
     doubling = build_map(parse_config("[model]\nname = doubling\n"))
+    assert custom.n_cells == doubling.n_cells == 2
+    assert custom.expansion_bound == doubling.expansion_bound
     for x in (Fraction(1, 5), Fraction(7, 10)):
         k = custom.cell_index(x)
         assert k == doubling.cell_index(x)
@@ -178,6 +224,8 @@ def test_build_map_affine_markov_matches_builtin():
     ],
 )
 def test_build_map_affine_markov_diagnostics(patch, message):
+    # the config no longer reads affine branch data: whatever its values, it
+    # is refused at its first key, with that key's line, before any is checked
     base = {
         "breakpoints": "breakpoints = 0, 1/2, 1\n",
         "intercepts": "intercepts = 0, -1\n",
@@ -187,8 +235,9 @@ def test_build_map_affine_markov_diagnostics(patch, message):
     key = patch.split(" ", 1)[0]
     base[key] = patch
     text = "[model]\nkind = affine_markov\n" + "".join(base.values())
-    with pytest.raises(ConfigError, match=message):
-        build_map(parse_config(text))
+    with pytest.raises(ConfigError, match=r"unknown key 'breakpoints' in section \[model\] \(bad\.cfg, line 3\)") as exc:
+        build_map(parse_config(text, path="bad.cfg"))
+    assert message not in str(exc.value)
 
 
 def test_solenoid_kind_routes_to_dedicated_builder():
@@ -218,17 +267,8 @@ def test_build_roof_kinds():
     poly = build_roof(parse_config("[roof]\nkind = polynomial\ncoeffs = 1, 0, 1\n"), base)
     assert poly.value(Fraction(1, 2)) == Fraction(5, 4)
     assert poly.exact
-
-    cos = build_roof(
-        parse_config("[roof]\nkind = cosine\nmean = 2\namplitude = 1/2\n"), base
-    )
-    assert cos.value(0.0) == pytest.approx(2.5)
-
-    pb = build_roof(
-        parse_config("[roof]\nkind = per_branch\ncoeffs = 1 | 2\n"), base
-    )
-    assert pb.value(Fraction(1, 4)) == 1
-    assert pb.value(Fraction(3, 4)) == 2
+    # polynomial is the kind a [roof] without one builds
+    assert build_roof(parse_config("[roof]\ncoeffs = 1, 0, 1\n"), base).upper_bound == 2
 
 
 def test_build_roof_rejects_claimed_constants():
@@ -238,28 +278,11 @@ def test_build_roof_rejects_claimed_constants():
             parse_config(f"[roof]\nkind = polynomial\ncoeffs = 1, 0, 1\n{key} = 1\n")
 
 
-def test_build_roof_bump_needs_all_three_keys():
-    with pytest.raises(ConfigError, match="bump_radius"):
-        build_roof(
-            parse_config("[roof]\nkind = constant\nvalue = 1\nbump_center = 1/2\n"),
-            _doubling(),
-        )
-    bumped = build_roof(
-        parse_config(
-            "[roof]\nkind = constant\nvalue = 1\n"
-            "bump_center = 1/4\nbump_radius = 1/8\nbump_amplitude = 1/10\n"
-        ),
-        _doubling(),
-    )
-    assert bumped.value(Fraction(1, 4)) == Fraction(11, 10)
-    assert bumped.value(Fraction(3, 4)) == 1
-
-
 def test_build_roof_diagnostics():
     base = _doubling()
     with pytest.raises(ConfigError, match="no \\[roof\\] section"):
         build_roof(ExperimentConfig(), base)
-    with pytest.raises(ConfigError, match="unknown roof kind"):
+    with pytest.raises(ConfigError, match="unknown roof kind 'staircase'.*; choose constant or polynomial"):
         build_roof(parse_config("[roof]\nkind = staircase\nvalue = 1\n"), base)
     with pytest.raises(ConfigError, match="missing required key"):
         build_roof(parse_config("[roof]\nkind = constant\n"), base)

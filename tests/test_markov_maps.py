@@ -207,9 +207,15 @@ def test_axioms_read_the_exact_branch_data():
         expansion_bound=1 / 3,
     )
     report = m.validate_axioms()
-    assert report.passed, report.to_csv()
-    assert [c.axiom for c in report.checks] == ["markov_images", "expansion"]
-    assert _row(report, "markov_images").worst_probe == 0
+    assert report.to_csv() == (
+        "axiom,status,worst_probe,location,tolerance\n"
+        "markov_images,pass,0,0,0\n"
+        "expansion,pass,0.33333333333333331,0,0.33333333333433329\n"
+    )
+    # a claimed bound below the inverse slopes fails on the same exact data
+    tight = ExpandingMarkovMap(m.branches, m.transition, expansion_bound=1 / 4)
+    check = _row(tight.validate_axioms(), "expansion")
+    assert (check.status, check.worst_probe, check.location) == ("fail", 1 / 3, 0.0)
 
 
 def test_axioms_report_the_worst_branch_cell_start():
@@ -547,6 +553,13 @@ def test_branch_cells_must_tile():
     bad = AffineBranch(Fraction(1, 4), Fraction(1), Fraction(2), Fraction(0))
     with pytest.raises(ValueError):
         ExpandingMarkovMap([good, bad], ((1, 1), (1, 1)), 0.5)
+
+
+def test_branch_needs_a_cell_and_a_nonzero_slope():
+    with pytest.raises(ValueError, match="slope must be nonzero"):
+        AffineBranch(Fraction(0), HALF, Fraction(0), Fraction(0))
+    with pytest.raises(ValueError, match="cell is empty"):
+        AffineBranch(HALF, Fraction(1, 4), Fraction(2), Fraction(0))
 
 
 def test_transition_shape_must_match():

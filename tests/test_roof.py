@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from mixlab import roof as roof_module
 from mixlab.errors import InadmissibleItinerary, InvalidRoof
-from mixlab.markov_maps import doubling_map, expanding_circle_map, three_branch_map
+from mixlab.markov_maps import (
+    AffineBranch,
+    ExpandingMarkovMap,
+    doubling_map,
+    expanding_circle_map,
+    three_branch_map,
+)
 from mixlab.roof import (
     ENCLOSURE_RTOL,
     _horner,
@@ -323,6 +329,40 @@ def test_validate_accepts_builtin_roofs():
 def test_roof_must_be_positive():
     with pytest.raises(InvalidRoof):
         polynomial_roof(doubling_map(), (Fraction(0), Fraction(1)))  # r(0) = 0
+    with pytest.raises(InvalidRoof, match=r"need mean > \|amplitude\|"):
+        cosine_roof(doubling_map(), 1, 2)
+
+
+def test_per_branch_roof_needs_one_list_per_cell():
+    with pytest.raises(InvalidRoof, match="got 1 for 2 cells"):
+        per_branch_polynomial_roof(doubling_map(), [(1,)])
+
+
+def test_roof_bounds_span_the_whole_domain():
+    # three_branch stretched onto [0, 3): 1 + x^2 climbs to 10 there
+    stretched = ExpandingMarkovMap(
+        [
+            AffineBranch(Fraction(0), Fraction(1), Fraction(2), Fraction(1)),
+            AffineBranch(Fraction(1), Fraction(2), Fraction(3), Fraction(-3)),
+            AffineBranch(Fraction(2), Fraction(3), Fraction(3), Fraction(-6)),
+        ],
+        [[0, 1, 1], [1, 1, 1], [1, 1, 1]],
+        expansion_bound=1 / 2,
+    )
+    roof = polynomial_roof(stretched, (1, 0, 1))
+    assert (roof.lower_bound, roof.upper_bound) == (1, 10)
+    # doubling on [2, 4) under a roof of 1 on the left cell and 2 on the right
+    shifted = ExpandingMarkovMap(
+        [
+            AffineBranch(Fraction(2), Fraction(3), Fraction(2), Fraction(-2)),
+            AffineBranch(Fraction(3), Fraction(4), Fraction(2), Fraction(-4)),
+        ],
+        [[1, 1], [1, 1]],
+        expansion_bound=1 / 2,
+    )
+    roof = per_branch_polynomial_roof(shifted, [(1,), (2,)])
+    assert (roof.lower_bound, roof.upper_bound) == (1, 2)
+    assert _oracle_accepts(roof)
 
 
 def test_validate_flags_false_lipschitz_claim():
@@ -389,6 +429,8 @@ def test_bump_amplitude_capped_by_lower_bound():
     roof = constant_roof(doubling_map(), 1)
     with pytest.raises(InvalidRoof):
         perturb_bump(roof, Fraction(1, 2), Fraction(1, 8), Fraction(3, 2))
+    with pytest.raises(InvalidRoof, match="radius must be positive"):
+        perturb_bump(roof, Fraction(1, 2), Fraction(0), Fraction(1, 2))
 
 
 def test_witness_survives_disjoint_bump():
