@@ -93,8 +93,9 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]  # as configparser reads it, case and all
+        header = configparser.ConfigParser.SECTCRE.match(line)
+        if header:
+            section = header.group("header")  # as configparser reads it, case and all
             out.setdefault((section, ""), i)
             continue
         if raw[:1].isspace():
@@ -109,7 +110,8 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
 
 def parse_config(text: str, path: str = "<string>") -> ExperimentConfig:
     lines = _key_lines(text)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no one-line header names "\n", so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:

@@ -235,17 +235,27 @@ class ExpandingMarkovMap:
                 return k
         raise BoundaryPoint(f"{x} lies on a partition boundary")
 
+    def cells_many(self, x) -> np.ndarray:
+        """Each float's exact cell (as in `cell_index`): the inner edge thresholds it reaches."""
+        x = np.asarray(x, dtype=float)
+        k = np.zeros(x.shape, dtype=np.min_scalar_type(self.n_cells))
+        for e in self._inner_edges_f:
+            k += x >= e
+        return k
+
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorised forward map; cells taken half-open (right-continuous).
 
-        Each point takes its exact cell, as in `cell_index`, by a search of
-        the inner edge thresholds.  An image that rounds up onto domain_hi is clamped to the float just
+        Each point takes its exact cell from `cells_many`, and its slope and
+        intercept by `np.take`.  An image that rounds up onto domain_hi is clamped to the float just
         below it: domain_hi is outside the half-open domain and, on a map
         like x -> 6x mod 1, a float fixed point that every later step keeps.
         """
         x = np.asarray(x, dtype=float)
-        k = np.searchsorted(self._inner_edges_f, x, side="right")
-        return np.minimum(self.slopes_f[k] * x + self.intercepts_f[k], self._top_f)
+        k = self.cells_many(x)
+        y = np.take(self.slopes_f, k) * x
+        y += np.take(self.intercepts_f, k)
+        return np.minimum(y, self._top_f)
 
     def image_cells(self, k: int) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.transition[k]) if v)

@@ -270,8 +270,7 @@ def per_branch_polynomial_roof(
 
     def value_many(xs):
         xs = np.asarray(xs, dtype=float)
-        # the map's own edge thresholds: each float in its exact cell, as in value
-        cells = np.searchsorted(base._inner_edges_f, xs, side="right")
+        cells = base.cells_many(xs)  # each float in its exact cell, as in value
         out = np.empty_like(xs)
         for k, fcs in enumerate(ftable):
             mask = cells == k

@@ -25,8 +25,9 @@ of streaming 16 MB levels through memory.  evaluate, the only reader of a
 tree, calls v once per block and sums the block at once, so beyond the
 roots table its memory is a few blocks, not the tree.  The sum is fixed by the top level, not the blocking:
 each top position's leaves are summed pairwise (np.add.reduce), then those
-d^top sums pairwise, then divided by d^depth.  The forward pushes (`push`)
-run _PUSH_BLOCK points through every step at a time for the same reason.
+d^top sums pairwise, then divided by d^depth.  For the same reason `push`
+runs _PUSH_BLOCK points through every step at a time, each fiber step in
+place, and the sandwich and the disk probes draw and read that many at once.
 Blocking reorders the work, not the arithmetic: every node and every
 point sees the same operations as the level-by-level and step-by-step
 loops, so the results are bit for bit the same.
@@ -65,8 +66,13 @@ class AffineFiberFamily:
     contraction: float
     offset: float
 
-    def __call__(self, x, z):
-        return self.contraction * np.asarray(z, dtype=float) + self.translation_at(x)
+    def __call__(self, x, z, out=None):
+        """G(x, z); given `out` (which may be z), the same sums written there."""
+        if out is None:
+            return self.contraction * np.asarray(z, dtype=float) + self.translation_at(x)
+        np.multiply(self.contraction, z, out=out)
+        out += self.translation_at(x)
+        return out
 
     def translation_at(self, x) -> np.ndarray:
         # offset * (cos, sin)(2 pi x), written column by column into one array
@@ -101,11 +107,11 @@ class HyperbolicSkewProduct:
 
     def push(self, y: np.ndarray, z: np.ndarray, steps: int) -> None:
         """Apply F `steps` times to the points y, shape (n,), and z, shape (n, 2),
-        in place, _PUSH_BLOCK points through every step at a time."""
+        in place (fiber steps too), _PUSH_BLOCK points through every step at a time."""
         for a in range(0, len(y), _PUSH_BLOCK):
             yb, zb = y[a : a + _PUSH_BLOCK], z[a : a + _PUSH_BLOCK]
             for _ in range(steps):
-                zb[...] = self.fiber_map(yb, zb)
+                self.fiber_map(yb, zb, out=zb)
                 yb[...] = self.base.evaluate_many(yb)
 
 
@@ -115,7 +121,8 @@ def _ball_probes(radius: float, count: int, seed: int = 12345) -> np.ndarray:
     out = np.empty((count, 2))
     have = 0
     while have < count:
-        cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, 2))
+        # the first count accepted rows of one stream, however it is cut up
+        cand = rng.uniform(-1.0, 1.0, size=(min(2 * (count - have) + 8, _PUSH_BLOCK), 2))
         keep = np.flatnonzero(np.einsum("ij,ij->i", cand, cand) <= 1.0)[: count - have]
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cand, keep, axis=0, out=out[have : have + len(keep)], mode="clip")
@@ -131,10 +138,10 @@ def validate_contraction(skew: HyperbolicSkewProduct, pairs: int = 100_000) -> f
     diff = _ball_probes(skew.radius, pairs, seed=12345)
     diff -= _ball_probes(skew.radius, pairs, seed=54321)
     # translation cancels on same-base pairs; ratio is |contraction| exactly
-    sep = np.linalg.norm(diff, axis=1)
-    ok = sep > 0
-    num = abs(skew.fiber_map.contraction) * sep[ok]
-    return float(np.max(num / sep[ok]))
+    kappa = abs(skew.fiber_map.contraction)
+    blocks = (np.linalg.norm(diff[a : a + _PUSH_BLOCK], axis=1) for a in range(0, pairs, _PUSH_BLOCK))
+    seps = (sep[sep > 0] for sep in blocks)
+    return float(max(np.max(kappa * sep / sep, initial=-math.inf) for sep in seps))
 
 
 def validate_invariance(skew: HyperbolicSkewProduct, probes: int = 1_000) -> float:
@@ -275,21 +282,31 @@ class Disintegration:
     def _roots(self) -> np.ndarray:
         """exp(2 pi i J / d^depth) at position p, J the digit reversal of p.
 
-        The digit reversals are whole floats, so dividing them needs no
-        cast buffer, and the angles are built in the table's imaginary half,
-        where cos and sin read them: the build holds no more than the table
-        and the reversals.
+        With p = q d^lo + s (s < d^lo), J is the reversal of s times
+        d^(depth - lo) plus the reversal of q: whole floats, added exactly
+        into the table's imaginary half, a run of d^lo positions at a time,
+        where the angles are built and cos and sin read them.
         """
-        d = self.skew.degree
-        rev = np.zeros(1)
-        for k in range(self.depth):
-            rev = (rev[:, None] + d**k * np.arange(d, dtype=float)).ravel()
-        roots = np.empty(len(rev), dtype=complex)
-        angle = np.divide(rev, float(len(rev)), out=roots.imag)
-        angle *= 2.0 * np.pi
-        np.cos(angle, out=roots.real)
-        np.sin(angle, out=angle)
+        d, n = self.skew.degree, self.skew.degree**self.depth
+        lo = max(k for k in range(self.depth + 1) if d**k <= _BLOCK_LEAVES)
+        low = _reversals(d, lo) * d ** (self.depth - lo)
+        roots = np.empty(n, dtype=complex)
+        for q, high in enumerate(_reversals(d, self.depth - lo).tolist()):
+            run = roots[q * len(low) : (q + 1) * len(low)]
+            angle = np.add(low, high, out=run.imag)
+            angle /= float(n)
+            angle *= 2.0 * np.pi
+            np.cos(angle, out=run.real)
+            np.sin(angle, out=angle)
         return roots
+
+
+def _reversals(d: int, digits: int) -> np.ndarray:
+    """The base-d digit reversals of 0 .. d^digits - 1, as whole floats."""
+    rev = np.zeros(1)
+    for k in range(digits):
+        rev = (rev[:, None] + d**k * np.arange(d, dtype=float)).ravel()
+    return rev
 
 
 def _level_buffers(leaves: int, d: int):
@@ -360,20 +377,18 @@ def sandwich_estimate(
     orbits of the circle map).  Base points are drawn uniformly, and the
     returned stat_error is the standard error of the mean.
 
-    The pushes run in place (`HyperbolicSkewProduct.push`); v is then
-    called once, on the whole sample.
+    The sample is drawn, pushed in place (`HyperbolicSkewProduct.push`)
+    and read a block at a time: v is called once per block.
     """
-    base = skew.base
     pad = skew.kappa**depth * fiber_lipschitz * skew.radius
-    lo_b, hi_b = float(base.domain_lo), float(base.domain_hi)
-
     rng = np.random.default_rng([seed])
-    y = rng.random(samples)
-    y *= hi_b - lo_b
-    y += lo_b
-    zs = np.zeros((samples, 2))
-    skew.push(y, zs, depth)
-    vals = np.asarray(v(y, zs), dtype=float)
+    vals = np.empty(samples)
+    for a in range(0, samples, _PUSH_BLOCK):
+        # uniform on the circle [0, 1); one stream, however it is cut up
+        y = rng.random(min(_PUSH_BLOCK, samples - a))
+        zs = np.zeros((len(y), 2))
+        skew.push(y, zs, depth)
+        vals[a : a + len(y)] = v(y, zs)
 
     mean = float(vals.mean())
     err = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf

@@ -133,7 +133,8 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
         ui = u[idx]
         ui -= r[idx]
         if sk is not None:
-            z[idx] = sk.fiber_map(xi, z[idx])
+            zi = z[idx]
+            z[idx] = sk.fiber_map(xi, zi, out=zi)
         xi = bm.evaluate_many(xi)
         ri = roof_many(xi)
         x[idx] = xi

@@ -71,6 +71,20 @@ def test_unknown_section_rejected():
             parse_config(text, path="bad.cfg")
 
 
+def test_default_section_is_an_unknown_section():
+    text = "[DEFAULT]\nseed = 7\n[model]\nname = doubling\n"
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\] \(bad\.cfg, line 1\)"):
+        parse_config(text, path="bad.cfg")
+
+
+def test_header_with_a_comment_files_its_keys():
+    # configparser reads "[run] ; note" as [run]; so do the line numbers
+    cfg = parse_config("[run] ; note\nseed = 5\n", path="x.cfg")
+    assert cfg.run.seed == 5 and "line 2" in cfg.where("run", "seed")
+    with pytest.raises(ConfigError, match=r"unknown key 'bogus' in section \[run\] \(bad\.cfg, line 3\)"):
+        parse_config("[run] ; note\nseed = 5\nbogus = 1\n", path="bad.cfg")
+
+
 def test_malformed_ini_rejected():
     with pytest.raises(ConfigError):
         parse_config("stray = 1\n", path="bad.cfg")

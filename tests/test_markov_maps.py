@@ -104,6 +104,34 @@ def test_evaluate_many_cell_search_matches_clipped_edge_search(m):
     assert m.evaluate_many(x).tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize(
+    "m",
+    [doubling_map(), three_branch_map(), expanding_circle_map(5), expanding_circle_map(20)],
+    ids=["doubling", "three_branch", "circle_5", "circle_20"],
+)
+def test_cells_many_counts_what_the_threshold_search_finds(m):
+    # every threshold, edge and neighbour of either, signed zeros and infinities
+    t, e = m._inner_edges_f, m.edges_f
+    x = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf), e,
+                        np.nextafter(e, np.inf), np.nextafter(e, -np.inf),
+                        np.random.default_rng(5).uniform(-0.2, 1.2, 10_000),
+                        np.array([0.0, -0.0, np.inf, -np.inf])])
+    k = m.cells_many(x)
+    assert k.dtype == np.min_scalar_type(m.n_cells) and k.shape == x.shape
+    assert np.array_equal(k, np.searchsorted(t, x, side="right"))
+    # NaN reaches no threshold; its image is NaN from any cell
+    x = np.append(x, np.nan)
+    k = np.searchsorted(t, x, side="right")
+    top = math.nextafter(float(m.domain_hi), -math.inf)
+    want = np.minimum(m.slopes_f[k] * x + m.intercepts_f[k], top)
+    assert m.cells_many(np.nan) == 0 and np.isnan(m.evaluate_many(np.nan))
+    assert m.evaluate_many(x).tobytes() == want.tobytes()
+    # a 0-d input gives a 0-d cell and the image a one-point array gets
+    for p in (0.3, t[0], np.inf, -np.inf):
+        assert m.cells_many(p).shape == () and m.cells_many(p) == m.cells_many([p])[0]
+        assert np.asarray(m.evaluate_many(p)).tobytes() == m.evaluate_many(np.array([p])).tobytes()
+
+
 def _exact_cell(m, x):
     """Half-open cell of x by exact comparison with m.edges; None outside the domain."""
     q = Fraction(x)

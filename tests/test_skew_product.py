@@ -52,6 +52,16 @@ def test_fiber_ball_geometry():
     assert Disintegration(_skew(radius=0.25), depth=1).truncation_bound(1.0) == 0.5 * 0.5
 
 
+def test_fiber_step_in_place_is_the_allocating_step():
+    fam = AffineFiberFamily(contraction=-0.37, offset=0.4)
+    rng = np.random.default_rng(2)
+    x, z = rng.random(1000), rng.uniform(-1.0, 1.0, (1000, 2))
+    want = fam(x, z)
+    other = np.empty_like(z)
+    assert fam(x, z, out=other) is other and other.tobytes() == want.tobytes()
+    assert fam(x, z, out=z) is z and z.tobytes() == want.tobytes()
+
+
 def test_kappa_must_contract():
     with pytest.raises(ValueError):
         _skew(contraction=1.0)
@@ -368,10 +378,10 @@ def test_roots_table_is_the_int_reversal_formula(degree, depth):
 
 
 def test_roots_build_holds_the_table_and_the_reversals_only(traced_peak):
-    # 4 MB of table and 2 MB of digit reversals, plus a page for array headers
+    # 4 MB of table and 0.5 MB of low digit reversals, plus a page for array headers
     n = 2**18
     dis = Disintegration(_skew(), depth=18)
-    assert traced_peak(lambda: dis._roots) <= n * 16 + n * 8 + 4096
+    assert traced_peak(lambda: dis._roots) <= n * 16 + skew_product._BLOCK_LEAVES * 8 + 4096
 
 
 def test_boundary_point_rejected():
@@ -422,7 +432,7 @@ def _unblocked_sandwich(skew, v, depth, fiber_lipschitz, samples, seed):
 
 
 def test_blocked_sandwich_is_the_unblocked_push():
-    # 20_001 samples leave a short last block; v still reads the whole sample once
+    # 20_001 samples leave a short last block; v reads each block once
     skew = _skew(contraction=-0.37, degree=3)
     calls = []
 
@@ -433,7 +443,8 @@ def test_blocked_sandwich_is_the_unblocked_push():
     samples = 20_001
     assert samples % skew_product._PUSH_BLOCK
     sw = sandwich_estimate(skew, coord, depth=12, fiber_lipschitz=2.0, samples=samples, seed=5)
-    assert calls == [((samples,), (samples, 2))]
+    block = skew_product._PUSH_BLOCK
+    assert calls == [((block,), (block, 2)), ((samples - block,), (samples - block, 2))]
     want = _unblocked_sandwich(skew, coord, 12, 2.0, samples, 5)
     assert (sw.lower, sw.upper, sw.stat_error) == want
 
@@ -466,6 +477,24 @@ def _masked_ball_probes(radius, count, seed):
         out[have : have + take] = keep[:take]
         have += take
     return radius * out
+
+
+@pytest.mark.parametrize("block", [7, skew_product._PUSH_BLOCK])
+def test_chunked_ball_probes_and_contraction_are_the_whole_draw(monkeypatch, block):
+    # counts beyond one block: the candidate stream is drawn a block at a time
+    monkeypatch.setattr(skew_product, "_PUSH_BLOCK", block)
+    skew = _skew(contraction=-0.37, radius=0.7)
+    counts = (1, 3, 50, 1_000) if block == 7 else (block + 1, 40_000)
+    for count in counts:
+        for seed in (777, 12345):
+            got = skew_product._ball_probes(0.7, count, seed=seed)
+            assert got.tobytes() == _masked_ball_probes(0.7, count, seed).tobytes()
+    pairs = counts[-1]
+    sep = np.linalg.norm(
+        _masked_ball_probes(0.7, pairs, 12345) - _masked_ball_probes(0.7, pairs, 54321), axis=1
+    )
+    sep = sep[sep > 0]
+    assert validate_contraction(skew, pairs=pairs) == float(np.max(0.37 * sep / sep))
 
 
 def test_ball_probes_and_contraction_keep_their_bytes():

@@ -262,9 +262,9 @@ def test_sampler_pushes_only_accepted_fibers(monkeypatch):
     pushed = []
     plain = AffineFiberFamily.__call__
 
-    def counted(self, x, z):
+    def counted(self, x, z, out=None):
         pushed.append(np.size(x))
-        return plain(self, x, z)
+        return plain(self, x, z, out=out)
 
     monkeypatch.setattr(AffineFiberFamily, "__call__", counted)
     susp = _solenoid_susp()
