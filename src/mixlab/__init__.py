@@ -75,6 +75,7 @@ from .transfer_operator import (
     UlamOperator,
     apply_exact,
     build_ulam,
+    cell_density,
     duality_check,
     invariant_density,
     polynomial_operator,

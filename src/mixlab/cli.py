@@ -17,15 +17,12 @@ import csv
 import io
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .acceptance import _grid16, run_all
 from .config import ExperimentConfig, build_map, build_roof, build_solenoid, load_config
 from .errors import ConfigError, InsufficientDepth, MixlabError, WindowTooShort
-from .markov_maps import ExpandingMarkovMap, tail_statistics
+from .markov_maps import tail_statistics
 from .roof import witness_search
 from .skew_product import validate_contraction, validate_invariance
 from .solenoid import BURN_IN, SolenoidModel, attractor_sample, check_domination, cloud_csv
@@ -38,7 +35,7 @@ from .suspension import (
     suspend,
     svg_log_plot,
 )
-from .transfer_operator import build_ulam, invariant_density
+from .transfer_operator import apply_exact, cell_density
 
 _FORMATS = ("csv", "csv+svg")
 # the run sizes each subcommand uses, fixed for every config
@@ -110,26 +107,12 @@ def _thread_count(text: str) -> int:
 
 
 def _flow_parts(cfg: ExperimentConfig):
-    """Flow base (map or skew), its interval base, and the configured roof."""
+    """Flow base (map or skew) and the configured roof over its interval map."""
     if cfg.model.get("kind") == "solenoid":
         flow_base = build_solenoid(cfg).skew
-        base_map = flow_base.base
-    else:
-        base_map = build_map(cfg)
-        flow_base = base_map
-    return flow_base, base_map, build_roof(cfg, base_map)
-
-
-def _preserves_lebesgue(m: ExpandingMarkovMap) -> bool:
-    # provable by inverse-branch weights alone: full branching with
-    # sum 1/|slope| = 1 makes the constant density a fixed point
-    return m.is_full_branch and sum(1 / abs(Fraction(b.slope)) for b in m.branches) == 1
-
-
-def _base_density(cfg: ExperimentConfig, base_map: ExpandingMarkovMap):
-    if _preserves_lebesgue(base_map):
-        return None
-    return invariant_density(build_ulam(base_map, cfg.run.bins))
+        return flow_base, build_roof(cfg, flow_base.base)
+    flow_base = build_map(cfg)
+    return flow_base, build_roof(cfg, flow_base)
 
 
 def _skew_axioms(model: SolenoidModel, out_dir: str, name: str):
@@ -177,28 +160,33 @@ def cmd_validate(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 def cmd_srb(cfg: ExperimentConfig, rt: Runtime) -> int:
     m = build_map(cfg)
-    op = build_ulam(m, cfg.run.bins)
-    dens = invariant_density(op)
-    widths = np.diff(op.bin_edges)
-    integral = float(np.sum(dens.values * widths))
-    minimum = float(dens.values.min())
-    ok = dens.residual <= 1e-10 and abs(integral - 1.0) <= 1e-10 and minimum > 0.0
+    density = cell_density(m)
+    cells = list(zip(m.edges, m.edges[1:], density))
+    # L1 defect of L h = h, read by the pointwise operator at each cell's midpoint
+    residual = sum(
+        abs(apply_exact(m, lambda y: density[m.cell_index(y)], (lo + hi) / 2) - h) * (hi - lo)
+        for lo, hi, h in cells
+    )
+    integral = sum(h * (hi - lo) for lo, hi, h in cells)
+    minimum = min(density)
+    ok = residual <= 1e-10 and abs(integral - 1) <= 1e-10 and minimum > 0
+    rows = [(lo, hi, h, residual) for lo, hi, h in cells]
+    _write_artifact(rt.out_dir, "density.csv", _rows_csv(("bin_left", "bin_right", "value", "residual"), rows))
     summary = _rows_csv(
         ("quantity", "value", "tolerance"),
         [
-            ("residual_l1", f"{dens.residual:.17g}", "1e-10"),
-            ("integral_minus_one", f"{integral - 1.0:.17g}", "1e-10"),
-            ("min_density", f"{minimum:.17g}", ">0"),
+            ("residual_l1", residual, "1e-10"),
+            ("integral_minus_one", integral - 1, "1e-10"),
+            ("min_density", minimum, ">0"),
         ],
     )
-    _write_artifact(rt.out_dir, "density.csv", dens.to_csv())
     _write_artifact(rt.out_dir, "srb_summary.csv", summary)
-    print(f"bins {op.bins}, residual {dens.residual:.3e}, integral 1{integral - 1.0:+.3e}, min {minimum:.6g}")
+    print(f"cells {len(cells)}, residual {residual}, integral {integral}, min {minimum}")
     return 0 if ok else 1
 
 
 def cmd_cohomology(cfg: ExperimentConfig, rt: Runtime) -> int:
-    _, base_map, roof = _flow_parts(cfg)
+    _, roof = _flow_parts(cfg)
     report = witness_search(roof, max_period=_WITNESS_PERIOD)
     _write_artifact(rt.out_dir, "witness.csv", report.to_csv())
     if report.found:
@@ -235,8 +223,7 @@ def cmd_tails(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 
 def cmd_correlate(cfg: ExperimentConfig, rt: Runtime) -> int:
-    flow_base, base_map, roof = _flow_parts(cfg)
-    susp = suspend(flow_base, roof, base_density=_base_density(cfg, base_map))
+    susp = suspend(*_flow_parts(cfg))
     times = susp.default_times(t_max=cfg.run.t_max)
     for name, phi, psi in default_observables(susp):
         series = correlation(
@@ -263,8 +250,7 @@ def cmd_correlate(cfg: ExperimentConfig, rt: Runtime) -> int:
 
 
 def cmd_tdist(cfg: ExperimentConfig, rt: Runtime) -> int:
-    flow_base, base_map, roof = _flow_parts(cfg)
-    susp = suspend(flow_base, roof)
+    susp = suspend(*_flow_parts(cfg))
     points = _grid16()
     worst, body = _tdist_grid(susp, points, depth=cfg.run.depth)
     _write_artifact(rt.out_dir, "tdist.csv", body)
@@ -324,7 +310,7 @@ _HANDLERS = {
 
 _HELP = {
     "validate": "axiom reports for the configured map or skew product; certified roof constants",
-    "srb": "invariant density of the configured map",
+    "srb": "exact invariant density of the configured map, one value per Markov cell",
     "cohomology": "periodic-orbit witness search for the configured roof",
     "tails": "first-return tail masses and exponent for the configured map",
     "correlate": "correlation series and decay fit for the suspension",

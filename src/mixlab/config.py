@@ -3,7 +3,7 @@
 A config has four sections.  [model] names a builtin base map (kind
 builtin, the default, with name doubling or three_branch) or a solenoid
 (kind solenoid), [roof] a constant or polynomial roof over that base,
-[run] the numeric knobs (seed, sample counts, depths, grid sizes),
+[run] the numeric knobs (seed, sample count, depths, time span),
 [output] the artifact destination.  Section names match exactly.
 Unknown sections, keys, kinds and map names are rejected with the
 offending line number so typos fail loudly instead of silently running
@@ -12,9 +12,8 @@ defaults.
 Values that feed exact arithmetic (roof coefficients, solenoid geometry)
 parse as Fractions, accepting both "1/3" and "0.25" spellings.  [run]
 t_max, the span of the correlation time grid, parses as a float of at
-least one grid step (DEFAULT_DT).  [run] bins allocates a bins x bins
-matrix and is at most MAX_BINS (8192).  The worker count and artifact
-format come from the command line alone.
+least one grid step (DEFAULT_DT).  The worker count and artifact format
+come from the command line alone.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ from .solenoid import SolenoidModel
 from .solenoid import build as build_solenoid_model
 from .suspension import DEFAULT_DT
 
-# build_ulam allocates a dense bins x bins float64 matrix: 8192 bins is 512 MB
-MAX_BINS = 8192
-
 _MODEL_KINDS = ("builtin", "solenoid")
 _BUILTIN_MAPS = {"doubling": doubling_map, "three_branch": three_branch_map}
 
 _MODEL_KEYS = {"kind", "name", "expansion", "contraction", "offset", "fiber_radius"}
 _ROOF_KEYS = {"kind", "value", "coeffs"}
-_RUN_KEYS = {"seed", "samples", "depth", "depth_cap", "t_max", "bins"}
+_RUN_KEYS = {"seed", "samples", "depth", "depth_cap", "t_max"}
 _OUTPUT_KEYS = {"out_dir"}
 _SECTIONS = {
     "model": _MODEL_KEYS,
@@ -55,7 +51,6 @@ class RunSettings:
     depth: int = 20
     depth_cap: int = 40
     t_max: float | None = None
-    bins: int = 1024
 
 
 @dataclass(frozen=True)
@@ -166,8 +161,6 @@ def _parse_run(raw: dict[str, str], path, lines) -> RunSettings:
     kw = {}
     if "seed" in raw:
         kw["seed"] = _get_int(raw, "seed", where("seed"), lo=0, hi=2**64 - 1)
-    if "bins" in raw:
-        kw["bins"] = _get_int(raw, "bins", where("bins"), lo=1, hi=MAX_BINS)
     for key, lo in (("samples", 2), ("depth", 1), ("depth_cap", 1)):
         if key in raw:
             kw[key] = _get_int(raw, key, where(key), lo=lo)

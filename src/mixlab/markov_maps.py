@@ -200,10 +200,6 @@ class ExpandingMarkovMap:
     def n_cells(self) -> int:
         return len(self.branches)
 
-    @property
-    def is_full_branch(self) -> bool:
-        return all(all(v == 1 for v in row) for row in self.transition)
-
     def cell_index(self, x) -> int:
         """Index k with x in [edge_k, edge_{k+1}).
 

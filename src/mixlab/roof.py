@@ -97,27 +97,20 @@ def _integer_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[
     return den, rows
 
 
-def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
-    """Scalar evaluator of c0 + c1 x + ... for a roof's `value`.
+def _polynomial_value(table: Sequence[Sequence], exact: bool, cell_of: Callable) -> Callable:
+    """A roof's `value`: c0 + c1 x + ... from the row `cell_of(x)` of `table`.
 
-    With exact (Fraction) coefficients a Rational point p/q runs Horner's
-    rule in integers over the coefficients' common denominator D,
-    D q^n r(p/q) = sum of D c_k p^k q^(n-k), and builds one Fraction.  Any
-    other point, and float coefficients, take `_horner`.
+    With exact (Fraction) coefficients a Rational point p/q is the one-point
+    walk [(cell, p, q)] of `_lap_sum`, Horner's rule in integers.  Any other
+    point, and float coefficients, take `_horner`.
     """
-    if not exact:
-        return lambda x: _horner(coeffs, x)
-    den, [[top, *rest]] = _integer_table([coeffs])
+    lap = _lap_sum(table) if exact else None
 
     def value(x):
-        if not isinstance(x, Rational):
-            return _horner(coeffs, x)
-        p, q = x.numerator, x.denominator
-        acc, qk = top, 1
-        for c in rest:
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, den * qk)
+        k = cell_of(x)
+        if lap is not None and isinstance(x, Rational):
+            return lap([(k, x.numerator, x.denominator)])
+        return _horner(table[k], x)
 
     return value
 
@@ -125,8 +118,8 @@ def _polynomial_value(coeffs: Sequence, exact: bool) -> Callable:
 def _lap_sum(table: Sequence[Sequence[Fraction]]) -> Callable:
     """Exact sum of an exact per-cell polynomial roof along an `orbit_walk`.
 
-    Each point p/q in cell k adds D q^n r_k(p/q), by the same integer
-    Horner rule as `_polynomial_value` with one common denominator D and
+    Each point p/q in cell k adds D q^n r_k(p/q) = sum of D c_j p^j q^(n-j),
+    by Horner's rule in integers, with one common denominator D and
     degree n for every cell.  The walk's denominators divide one another,
     so the running sum is rescaled by (q'/q)^n whenever q grows, and the
     lap is one Fraction S / (D q^n) at the end.
@@ -224,7 +217,7 @@ def polynomial_roof(base: ExpandingMarkovMap, coeffs: Sequence) -> RoofFunction:
     """
     exact = all(_is_rational(c) for c in coeffs)
     cs = tuple(Fraction(c) for c in coeffs) if exact else tuple(float(c) for c in coeffs)
-    value = _polynomial_value(cs, exact)
+    value = _polynomial_value([cs], exact, lambda x: 0)
     fcs = tuple(float(c) for c in cs)
 
     def value_many(xs):
@@ -261,11 +254,7 @@ def per_branch_polynomial_roof(
         tuple(Fraction(c) if exact else float(c) for c in cs) for cs in coeffs_per_branch
     )
 
-    cell_values = [_polynomial_value(cs, exact) for cs in table]
-
-    def value(x):
-        return cell_values[base.cell_index(x)](x)
-
+    value = _polynomial_value(table, exact, base.cell_index)
     ftable = [tuple(float(c) for c in cs) for cs in table]
 
     def value_many(xs):

@@ -2,11 +2,12 @@
 
 A suspension places a point (w, u) under a roof r and flows it upward at
 unit speed; hitting the roof applies the base dynamics and resets u.  The
-module provides vectorized flow advancement, a seeded sampler
-for the normalized invariant measure, Monte Carlo correlation series with
-batch-means error bars, a log-linear decay-rate fit with an explicit noise
-floor, and the temporal-distance functional whose vanishing characterizes
-roofs cohomologous to locally constant ones.
+module provides vectorized flow advancement, a seeded sampler for the
+normalized invariant measure over the base map's exact `cell_density`,
+Monte Carlo correlation series with batch-means error bars, a log-linear
+decay-rate fit with an explicit noise floor, and the temporal-distance
+functional whose vanishing characterizes roofs cohomologous to locally
+constant ones.
 
 An observable that declares its height frequency (``phi.omega``, see
 `correlation`) is read once per sample and then only where a sample crosses
@@ -23,6 +24,7 @@ fork, so observables need not be picklable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +37,7 @@ from .errors import BoundaryPoint, BracketUndefined, CrossingBudgetExceeded, Win
 from .markov_maps import ExpandingMarkovMap
 from .roof import RoofFunction
 from .skew_product import HyperbolicSkewProduct
-from .transfer_operator import InvariantDensity, integrate
+from .transfer_operator import cell_density, integrate
 
 DEFAULT_DT = 0.1
 DEFAULT_SPAN_MULT = 30.0
@@ -57,18 +59,19 @@ class SuspensionSemiflow:
 
     The roof lives over the base interval map and is constant along fibers
     when the base is a skew product.  ``mean_roof`` is the roof average
-    against the base invariant measure and sets the default time scale;
-    ``roof_sup`` is the roof's certified ``upper_bound``, the envelope of
-    the rejection sampler; because r <= roof_sup everywhere, accepting
-    with probability r(x)/roof_sup draws exactly from the length-biased
-    measure.
+    against the base map's exact `cell_density` and sets the default time
+    scale; ``roof_sup`` is the roof's certified ``upper_bound``, the
+    envelope of the rejection sampler; because r <= roof_sup everywhere,
+    accepting with probability r(x)/roof_sup draws exactly from the
+    length-biased measure.
     """
 
     base: object
     roof: RoofFunction
     mean_roof: float
     roof_sup: float
-    base_density: InvariantDensity | None = None
+    # the base cells' invariant masses cumulated in Fraction: 0, ..., exactly 1.0
+    _mass_cuts: np.ndarray = field(init=False, repr=False, compare=False)
     # temporal_distance's backward roof sums, keyed by (exact, point, depth)
     _backward_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -88,20 +91,23 @@ class SuspensionSemiflow:
         return np.linspace(0.0, steps * dt, steps + 1)
 
 
-def suspend(base, roof: RoofFunction, base_density: InvariantDensity | None = None) -> SuspensionSemiflow:
-    """Build a suspension and precompute its roof average and envelope.
+def suspend(base, roof: RoofFunction) -> SuspensionSemiflow:
+    """Build a suspension and precompute its base measure, roof average and envelope.
 
-    `base_density` is None (normalized Lebesgue) or an InvariantDensity;
-    it is the base invariant density used for the roof average and for
-    sampling.  The sampling envelope is the roof's certified upper bound.
+    The roof average and the sampler read the base map's exact
+    `cell_density` (NotAffineMarkov if it has none).  The sampling envelope
+    is the roof's certified upper bound.
     """
     base_map = base.base if isinstance(base, HyperbolicSkewProduct) else base
     if roof.base is not base_map:
         raise ValueError("roof must be defined over the suspension's base map")
-    dens = None if base_density is None else base_density.at
-    mass = integrate(base_map, np.ones_like, _QUAD_SAMPLES, dens)
-    mean = integrate(base_map, roof.value_many, _QUAD_SAMPLES, dens) / mass
-    return SuspensionSemiflow(base, roof, mean, float(roof.upper_bound), base_density)
+    density = cell_density(base_map)
+    mean = integrate(base_map, roof.value_many, _QUAD_SAMPLES, [float(h) for h in density])
+    susp = SuspensionSemiflow(base, roof, mean, float(roof.upper_bound))
+    masses = (h * (hi - lo) for h, lo, hi in zip(density, base_map.edges, base_map.edges[1:]))
+    cuts = [float(c) for c in itertools.accumulate(masses, initial=Fraction(0))]
+    object.__setattr__(susp, "_mass_cuts", np.array(cuts))
+    return susp
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +154,24 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
 # invariant sampling
 
 def _draw_base(susp: SuspensionSemiflow, rng, m: int) -> np.ndarray:
-    """Draw m base points from the configured invariant density."""
-    bm = susp.base_map
-    lo, hi = float(bm.domain_lo), float(bm.domain_hi)
-    dens = susp.base_density
-    if dens is None:
-        return lo + (hi - lo) * rng.random(m)
-    edges = np.asarray(dens.bin_edges, dtype=float)
-    masses = np.asarray(dens.values, dtype=float) * np.diff(edges)
-    cum = np.cumsum(masses)
-    v = rng.random(m) * cum[-1]
-    k = np.searchsorted(cum, v, side="right")
-    k = np.minimum(k, len(masses) - 1)
-    prev = np.where(k > 0, cum[k - 1], 0.0)
-    frac = (v - prev) / masses[k]
-    return edges[k] + frac * (edges[k + 1] - edges[k])
+    """Draw m base points from the base invariant measure.
+
+    A uniform v in [0, 1) takes the cell whose mass interval holds it, counting
+    cuts as `cells_many` counts edges, and is carried affinely onto that cell:
+    on doubling's halves, of density 1, every step is exact and returns v.
+    """
+    cuts = susp._mass_cuts
+    edges = susp.base_map.edges_f
+    v = rng.random(m)
+    k = np.zeros(m, dtype=np.min_scalar_type(len(cuts) - 2))
+    for c in cuts[1:-1]:
+        k += v >= c
+    k = k.astype(np.intp)  # np.take reads intp indices several times faster
+    v -= np.take(cuts, k)
+    v /= np.take(np.diff(cuts), k)
+    v *= np.take(np.diff(edges), k)
+    v += np.take(edges, k)
+    return v
 
 
 def _sample_arrays(susp: SuspensionSemiflow, rng, n: int):

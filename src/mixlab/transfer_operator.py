@@ -1,7 +1,8 @@
 """Transfer operator of an expanding Markov map.
 
 Pointwise application sums over inverse branches with Jacobian weights.
-Two discretizations are provided:
+`cell_density` solves exactly for the invariant density of an affine Markov
+map, which is constant on cells.  Two discretizations are provided:
 
 - The Ulam scheme works on equal-width bins that refine the Markov
   partition of an affine Markov map.  Each branch sends a bin onto an
@@ -25,7 +26,7 @@ import math
 import mmap
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,6 +119,35 @@ def _require_affine_markov(map_: ExpandingMarkovMap) -> None:
             raise NotAffineMarkov(f"image of branch {k} is not the union of its flagged cells")
 
 
+def cell_density(map_: ExpandingMarkovMap) -> tuple[Fraction, ...]:
+    """Exact invariant density of an affine Markov map, one value per cell.
+
+    L keeps functions constant on cells (Boyarsky-Gora, *Laws of Chaos*,
+    1997), so h_j = sum_k T[k][j] h_k / |slope_k| with sum_j h_j |cell_j| = 1,
+    solved by Gauss-Jordan elimination in Fraction.  NotAffineMarkov when
+    the map is not affine Markov or the solution is not unique (reducible).
+    """
+    _require_affine_markov(map_)
+    n, edges = map_.n_cells, [Fraction(e) for e in map_.edges]
+    weights = [1 / abs(Fraction(b.slope)) for b in map_.branches]
+    # a row (I - M) h = 0 per cell, then the normalisation, right sides last; L
+    # preserves integrals, so a unique solution leaves the last row 0 = 0
+    rows = [
+        [(j == k) - t[j] * w for k, (t, w) in enumerate(zip(map_.transition, weights))] + [0]
+        for j in range(n)
+    ]
+    rows.append([hi - lo for lo, hi in zip(edges, edges[1:])] + [1])
+    for col in range(n):
+        pivot = next((r for r in range(col, n + 1) if rows[r][col]), None)
+        if pivot is None:
+            raise NotAffineMarkov(f"the invariant density of {map_.name or 'the map'} is not unique")
+        lead = rows.pop(pivot)
+        lead = [v / lead[col] for v in lead]
+        rows = [[a - r[col] * b for a, b in zip(r, lead)] for r in rows]
+        rows.insert(col, lead)
+    return tuple(row[n] for row in rows[:n])
+
+
 def _assemble_pullback(map_: ExpandingMarkovMap, bins: int) -> np.ndarray:
     """Ulam matrix of an affine Markov map whose cells are unions of bins.
 
@@ -171,11 +201,6 @@ class InvariantDensity:
     values: np.ndarray
     residual: float
     iterations: int
-
-    def at(self, x) -> np.ndarray:
-        """Density values at an array of points (right-continuous step function)."""
-        i = np.searchsorted(self.bin_edges, np.asarray(x, dtype=float), side="right") - 1
-        return self.values[np.clip(i, 0, len(self.values) - 1)]
 
     def to_csv(self) -> str:
         lines = ["bin_left,bin_right,value,residual"]
@@ -438,24 +463,23 @@ def duality_check(
 
 
 def integrate(
-    map_: ExpandingMarkovMap, fn: Callable, samples: int, density: Callable | None
+    map_: ExpandingMarkovMap, fn: Callable, samples: int, cell_weights: Sequence[float] | None
 ) -> float:
-    """Composite Gauss-Legendre integral of fn * density over the domain.
+    """Composite Gauss-Legendre integral of fn times a step function over the domain.
 
-    `fn` and `density` take the array of all nodes at once.
+    `cell_weights` holds the step's value on each cell (None: 1, Lebesgue
+    measure).  `fn` takes the array of all nodes at once.
     """
     span = float(map_.domain_hi) - float(map_.domain_lo)
     nodes, weights = [], []
-    for a, c in zip(map_.edges_f[:-1], map_.edges_f[1:]):
+    for a, c, w in zip(map_.edges_f[:-1], map_.edges_f[1:], cell_weights or [1.0] * map_.n_cells):
         panels = max(1, round(samples * (c - a) / span / len(_GL_NODES)))
         sub = np.linspace(a, c, panels + 1)
         half = 0.5 * (sub[1:] - sub[:-1])
         nodes.append((0.5 * (sub[:-1] + sub[1:]))[:, None] + half[:, None] * _GL_NODES)
-        weights.append(half[:, None] * _GL_WEIGHTS)
+        weights.append(w * half[:, None] * _GL_WEIGHTS)
     xs = np.concatenate(nodes, axis=None)
     vals = fn(xs)
-    if density is not None:
-        vals = vals * density(xs)
     # a running sum in node order; np.sum's pairwise order would move the last bits
     return float(np.cumsum(np.concatenate(weights, axis=None) * vals)[-1])
 

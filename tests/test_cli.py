@@ -7,16 +7,16 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mixlab import cli
-from mixlab.cli import Runtime, _base_density, main
+from mixlab.cli import Runtime, main
 from mixlab.config import ExperimentConfig, build_map, load_config
 from mixlab.errors import CrossingBudgetExceeded, MixlabError
 from mixlab.markov_maps import AffineBranch, ExpandingMarkovMap, doubling_map
 from mixlab.roof import per_branch_polynomial_roof
 from mixlab.suspension import correlation, default_observables, suspend
+from mixlab.transfer_operator import cell_density
 
 
 DOUBLING = """\
@@ -26,7 +26,6 @@ name = doubling
 
 [run]
 seed = 5
-bins = 64
 """
 
 XSQ_ROOF = """\
@@ -43,7 +42,6 @@ name = three_branch
 
 [run]
 seed = 5
-bins = 63
 depth_cap = 12
 """
 
@@ -204,14 +202,15 @@ def test_srb_writes_density_and_summary(tmp_path):
     assert run(tmp_path, "srb", "--config", _cfg(tmp_path, THREE_BRANCH)) == 0
     density = _read(tmp_path, "density.csv").decode()
     assert density.startswith("bin_left,bin_right,value,residual")
-    assert len(density.strip().splitlines()) == 64
+    assert len(density.strip().splitlines()) == 4  # one row per cell
     summary = _read(tmp_path, "srb_summary.csv").decode()
     rows = dict(
         line.split(",")[:2] for line in summary.strip().splitlines()[1:]
     )
-    assert float(rows["residual_l1"]) <= 1e-10
-    assert abs(float(rows["integral_minus_one"])) <= 1e-10
-    assert float(rows["min_density"]) > 0.0
+    # exact: the density is solved in Fraction and written as Fractions
+    assert Fraction(rows["residual_l1"]) == 0
+    assert Fraction(rows["integral_minus_one"]) == 0
+    assert Fraction(rows["min_density"]) == Fraction(3, 4)
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -329,8 +328,8 @@ def test_correlate_thread_count_keeps_bytes(tmp_path):
 
 def test_correlate_reweights_a_base_that_does_not_preserve_lebesgue(tmp_path):
     # three_branch's invariant density is 3/4 on [0, 1/3) and 9/8 on [1/3, 1),
-    # so correlate samples the base from its Ulam density
-    text = THREE_BRANCH.split("[run]")[0] + XSQ_ROOF + CORR_RUN + "bins = 63\n"
+    # so correlate samples the base from its exact cell density; no key sizes it
+    text = THREE_BRANCH.split("[run]")[0] + XSQ_ROOF + CORR_RUN
     cfg = _cfg(tmp_path, text)
     assert main(["correlate", "--config", cfg, "--threads", "1", "--out", str(tmp_path / "a")]) == 0
     assert main(["correlate", "--config", cfg, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
@@ -340,9 +339,7 @@ def test_correlate_reweights_a_base_that_does_not_preserve_lebesgue(tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     loaded = load_config(cfg)
-    density = _base_density(loaded, build_map(loaded))
-    expected = np.repeat([0.75, 1.125], [21, 42])
-    assert np.max(np.abs(density.values - expected)) <= 1e-8
+    assert cell_density(build_map(loaded)) == (Fraction(3, 4), Fraction(9, 8), Fraction(9, 8))
 
 
 def test_correlate_crossing_budget_is_a_model_error():
@@ -438,10 +435,10 @@ def test_threads_flag_out_of_range_is_usage_error(tmp_path, threads):
 
 
 def test_huge_bins_is_a_config_error(tmp_path, capsys):
-    # rejected while parsing, before build_ulam allocates bins x bins floats
-    cfg = _cfg(tmp_path, DOUBLING.replace("bins = 64", "bins = 562949953421312"))
+    # srb solves for one value per cell, so no key sizes a grid
+    cfg = _cfg(tmp_path, DOUBLING + "bins = 562949953421312\n")
     assert run(tmp_path, "srb", "--config", cfg) == 2
-    assert "above maximum 8192" in capsys.readouterr().err
+    assert "unknown key 'bins' in section [run]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -496,6 +493,8 @@ def test_committed_configs_validate(tmp_path, config):
     [
         ("cohomology", "doubling_xsq", "witness.csv"),
         ("tdist", "doubling_xsq", "tdist.csv"),
+        ("srb", "doubling", "density.csv"),
+        ("srb", "doubling", "srb_summary.csv"),
         ("tails", "three_branch", "tails.csv"),
         ("validate", "doubling", "validate_map.csv"),
     ],

@@ -26,7 +26,6 @@ name = doubling
 
 [run]
 seed = 7
-bins = 128
 t_max = 1/10
 
 [output]
@@ -37,7 +36,6 @@ out_dir = /tmp/x
 def test_defaults_without_any_config():
     cfg = ExperimentConfig()
     assert cfg.run.seed == 42
-    assert cfg.run.bins == 1024
     assert cfg.run.samples == 200_000
     assert cfg.run.t_max is None
     assert cfg.output.out_dir == "out"
@@ -48,7 +46,6 @@ def test_parse_happy_path():
     cfg = parse_config(BASE, path="exp.cfg")
     assert cfg.model["name"] == "doubling"
     assert cfg.run.seed == 7
-    assert cfg.run.bins == 128
     assert cfg.run.t_max == pytest.approx(0.1)
     assert cfg.output.out_dir == "/tmp/x"
     assert cfg.lines[("run", "seed")] == 6
@@ -101,7 +98,7 @@ def test_seed_range_is_sixty_four_bit():
 
 def test_numeric_validation_messages():
     with pytest.raises(ConfigError, match="expected integer"):
-        parse_config("[run]\nbins = many\n")
+        parse_config("[run]\ndepth = many\n")
     with pytest.raises(ConfigError, match="expected number"):
         parse_config("[run]\nt_max = soon\n")
     with pytest.raises(ConfigError, match="below minimum"):
@@ -114,12 +111,6 @@ def test_t_max_is_at_least_one_grid_step():
     for value in ("0", "-1", "1/100", "0.0999"):
         with pytest.raises(ConfigError, match=r"below the grid step 0\.1 for 't_max'.*line 3\)"):
             parse_config(f"[run]\nseed = 1\nt_max = {value}\n")
-
-
-def test_allocating_sizes_have_a_maximum():
-    assert parse_config("[run]\nbins = 8192\n").run.bins == 8192
-    with pytest.raises(ConfigError, match="above maximum 8192 for 'bins'"):
-        parse_config("[run]\nbins = 8193\n")
 
 
 @pytest.mark.parametrize(
@@ -136,6 +127,7 @@ def test_allocating_sizes_have_a_maximum():
         ("run", "dt", "0.1"),
         ("run", "max_period", "8"),
         ("run", "base_cell", "0"),
+        ("run", "bins", "1024"),
         ("output", "format", "csv+svg"),
         ("model", "kind", "affine_markov"),
         ("model", "breakpoints", "0, 1/2, 1"),
@@ -158,7 +150,8 @@ def test_allocating_sizes_have_a_maximum():
 def test_fixed_settings_are_not_config_keys(section, key, value):
     # no committed config varies them: each is a constant, a flag (threads,
     # format) or a library call (the affine and circle maps, the per-branch,
-    # cosine and bumped roofs)
+    # cosine and bumped roofs); bins would size an Ulam grid, which no
+    # subcommand builds
     text = f"[{section}]\n{key} = {value}\n"
     if section != "model":
         text += "\n[model]\nname = doubling\n"

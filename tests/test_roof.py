@@ -499,6 +499,10 @@ def _value_probes(m):
     """Rational points of every cell, float points, and a numpy float."""
     points = [Fraction(0), 0, Fraction(1, 3) + Fraction(1, 2**80), Fraction(99999, 100000)]
     points += [Fraction(k, 97) for k in range(97)] + [Fraction(2 * k + 1, 2**40) for k in range(9)]
+    # the temporal-distance grid and deep pull-backs along 2- and 3-adic branches
+    points += [Fraction(2 * k + 1, 32) for k in range(16)]
+    points += [Fraction(1, 2**61), Fraction(2**61 - 1, 2**61), Fraction(7, 6 * 2**50)]
+    points += [Fraction(3**25 - 1, 3**26), Fraction(2 * 3**25 + 1, 3**26)]
     points += [0.0, 0.1, 1 / 3, 0.75, np.float64(0.7)]
     return [x for x in points if m.domain_lo <= x < m.domain_hi]
 

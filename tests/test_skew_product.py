@@ -80,7 +80,7 @@ def test_skew_needs_a_full_branch_circle_base_and_a_disk_fiber():
     with pytest.raises(ValueError, match="degree"):
         HyperbolicSkewProduct(1, 1.0, fam)
     skew = HyperbolicSkewProduct(3, 1.0, fam)
-    assert skew.degree == 3 and skew.base.is_full_branch
+    assert skew.degree == 3 and skew.base.transition == ((1, 1, 1),) * 3
     assert skew.base.branches == expanding_circle_map(3).branches
     assert skew.fiber_map(0.25, np.zeros(2)).shape == (2,)
 

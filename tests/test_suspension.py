@@ -1,6 +1,7 @@
 """Suspension semiflow tests: exact flow, correlations, decay fits, distances."""
 
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -28,6 +29,7 @@ from mixlab.suspension import (
     default_observables,
     fit_rate,
     _advance_arrays,
+    _draw_base,
     _sample_arrays,
     suspend,
     svg_log_plot,
@@ -251,6 +253,28 @@ def test_sample_invariant_respects_roof():
     assert len(xs) == len(us) == 500 and zs is None
     assert np.all(us >= 0.0)
     assert np.all(us < susp.roof.value_many(xs))
+
+
+def test_suspend_averages_the_roof_against_the_cell_density():
+    # three_branch does not preserve Lebesgue measure: its density is 3/4 on
+    # [0, 1/3) and 9/8 on [1/3, 1), so 1 + x^2 averages 37/27, not 4/3
+    base = three_branch_map()
+    assert abs(suspend(base, polynomial_roof(base, (1, 0, 1))).mean_roof - 37 / 27) <= 1e-12
+    assert _xsq_susp().mean_roof == 1.3333333333333337  # doubling's average, as before
+
+
+def test_base_draws_follow_the_cell_masses():
+    base = three_branch_map()
+    susp = suspend(base, constant_roof(base, 1))
+    n = 100_000
+    draws = _draw_base(susp, np.random.default_rng(7), n)
+    assert np.all((draws >= 0.0) & (draws < 1.0))
+    counts = np.bincount(base.cells_many(draws), minlength=3)
+    for count, p in zip(counts, (1 / 4, 3 / 8, 3 / 8)):
+        assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+    # doubling preserves Lebesgue measure: its draws are the uniform floats themselves
+    draws = _draw_base(_xsq_susp(), np.random.default_rng(7), 10**6)
+    assert draws.tobytes() == np.random.default_rng(7).random(10**6).tobytes()
 
 
 def test_sampler_pushes_only_accepted_fibers(monkeypatch):

@@ -27,6 +27,7 @@ from mixlab import transfer_operator
 from mixlab.transfer_operator import (
     apply_exact,
     build_ulam,
+    cell_density,
     duality_check,
     integrate,
     invariant_density,
@@ -262,7 +263,7 @@ def test_invariant_density_doubling_uniform():
     assert abs(np.sum(d.values * np.diff(d.bin_edges)) - 1.0) <= 1e-12
     assert d.residual <= 1e-10
     assert d.iterations <= 3  # uniform start is already the fixed point
-    assert abs(d.at(0.3) - 1.0) <= 1e-10
+    assert abs(d.values[19] - 1.0) <= 1e-10  # the bin [19/64, 20/64) holds 0.3
 
 
 def test_invariant_density_three_branch_matches_exact_solve():
@@ -283,8 +284,8 @@ def test_invariant_density_three_branch_matches_exact_solve():
     cell = np.repeat(np.asarray([float(v) for v in oracle]), 341)
     assert np.max(np.abs(d.values - cell)) <= 1e-6
     assert abs(np.sum(d.values * np.diff(d.bin_edges)) - 1.0) <= 1e-12
-    assert abs(d.at(0.1) - 0.75) <= 1e-6
-    assert abs(d.at(0.9) - 1.125) <= 1e-6
+    assert abs(d.values[102] - 0.75) <= 1e-6  # the bins holding 0.1 and 0.9
+    assert abs(d.values[920] - 1.125) <= 1e-6
 
     # route 3: leading eigenvector of the piecewise-polynomial operator,
     # scaled to unit integral; the density is constant on each cell
@@ -308,6 +309,36 @@ def test_invariant_density_iteration_cap(monkeypatch):
     monkeypatch.setattr(transfer_operator, "POWER_CAP", 1)
     with pytest.raises(NoConvergence, match="after 1 steps"):
         invariant_density(build_ulam(three_branch_map(), 9))
+
+
+@pytest.mark.parametrize(
+    "map_, density",
+    [
+        (doubling_map(), (1, 1)),
+        (three_branch_map(), (Fraction(3, 4), Fraction(9, 8), Fraction(9, 8))),
+        (expanding_circle_map(5), (1,) * 5),
+        (expanding_circle_map(20), (1,) * 20),
+        # full branches with inverse slopes 2/3 and 1/3, which sum to 1: Lebesgue is invariant
+        (_three_halves(), (1, 1)),
+    ],
+)
+def test_cell_density_is_exact(map_, density):
+    h = cell_density(map_)
+    assert h == density and all(type(v) is Fraction for v in h)
+    # a fixed point of L with unit integral, read pointwise by apply_exact
+    edges = [Fraction(e) for e in map_.edges]
+    for lo, hi, v in zip(edges, edges[1:], h):
+        assert apply_exact(map_, lambda y: h[map_.cell_index(y)], (lo + hi) / 2) == v
+    assert sum(v * (hi - lo) for lo, hi, v in zip(edges, edges[1:], h)) == 1
+
+
+def test_cell_density_rejects_a_non_markov_or_reducible_map():
+    with pytest.raises(NotAffineMarkov, match="not the union"):
+        cell_density(_skewed_doubling())
+    # two identity branches: every density constant on cells is invariant
+    identity = _map((0, Fraction(1, 2), 1), (1, 1), (0, 0), [[1, 0], [0, 1]])
+    with pytest.raises(NotAffineMarkov, match="not unique"):
+        cell_density(identity)
 
 
 # -- second eigenvalue -------------------------------------------------------

@@ -4,10 +4,10 @@ Usage, from anywhere in a checkout:
 
     python3 tools/artifact_digests.py
 
-Each subcommand except repro runs on each configs/*.cfg in a fresh process,
-writing into a temporary directory (correlate at --format csv+svg).  Every
-file committed under out/<config>/ is compared byte for byte with its
-regenerated copy.  Then `mixlab repro --threads 1` runs once.  One sha256
+Each subcommand except repro (the keys of `mixlab.cli._HANDLERS`) runs on
+each configs/*.cfg in a fresh process, writing into a temporary directory
+(correlate at --format csv+svg).  Every file committed under out/<config>/
+is compared byte for byte with its regenerated copy.  Then `mixlab repro --threads 1` runs once.  One sha256
 line is printed per regenerated file and per subcommand's standard output
 (with the temporary directory cut out), so two checkouts can be compared
 line by line.  Exits 1 if any committed file is missing or differs.
@@ -23,7 +23,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = ("validate", "srb", "cohomology", "tails", "correlate", "tdist", "solenoid")
+sys.path.insert(0, str(ROOT / "src"))
+from mixlab.cli import _HANDLERS  # noqa: E402
+
+COMMANDS = [name for name in _HANDLERS if name != "repro"]
 
 
 def mixlab(args: list[str], tmp: Path) -> tuple[int, bytes]:

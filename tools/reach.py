@@ -7,7 +7,8 @@ Usage, from anywhere in a checkout:
 One process line-traces (``sys.settrace``, mixlab frames only) three kinds
 of run, each writing into a temporary directory:
 
-- every subcommand except repro on every configs/*.cfg, at --threads 1
+- every subcommand except repro (the keys of `mixlab.cli._HANDLERS`) on
+  every configs/*.cfg, at --threads 1
   (correlate at --format csv+svg);
 - ``mixlab repro --threads 1``;
 - one pass of each perfbench workload at seed 5 and one thread, with the
@@ -31,7 +32,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mixlab"
-COMMANDS = ("validate", "srb", "cohomology", "tails", "correlate", "tdist", "solenoid")
 PERFBENCH_SEED = 5
 
 
@@ -105,10 +105,10 @@ def statements(path: Path) -> dict[int, str]:
 
 
 def run_everything(out: Path) -> None:
-    from mixlab.cli import main
+    from mixlab.cli import _HANDLERS, main
 
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
-        for cmd in COMMANDS:
+        for cmd in (name for name in _HANDLERS if name != "repro"):
             fmt = ["--format", "csv+svg"] if cmd == "correlate" else []
             main([cmd, "--config", str(cfg), "--out", str(out / cfg.stem), "--threads", "1", *fmt])
     main(["repro", "--threads", "1", "--out", str(out / "repro")])
