@@ -516,7 +516,7 @@ def check_determinism(seed: int = 42, threads: int = 1) -> CheckResult:
     Reduced-scale sibling of the shell-level check (`mixlab repro` run
     under --threads 1 and --threads 8 must emit byte-identical CSVs);
     the full comparison lives in the test suite.  This row guards the
-    event-driven route of `correlation`, the one every declared observable
+    lap route of `correlation`, the one every declared observable
     (``height_mix`` here) takes, and the place where a worker count could
     leak into results; the per-step route has its own test.
     """

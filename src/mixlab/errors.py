@@ -50,7 +50,7 @@ class NoConvergence(MixlabError):
 
 
 class CrossingBudgetExceeded(MixlabError):
-    """A flow step crossed the roof more often than its certified lower bound allows."""
+    """A flow step or a batch's laps crossed the roof more often than its lower bound allows."""
 
 
 class WindowTooShort(MixlabError):

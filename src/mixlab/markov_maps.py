@@ -243,15 +243,16 @@ class ExpandingMarkovMap:
         """Vectorised forward map; cells taken half-open (right-continuous).
 
         Each point takes its exact cell from `cells_many`, and its slope and
-        intercept by `np.take`.  An image that rounds up onto domain_hi is clamped to the float just
-        below it: domain_hi is outside the half-open domain and, on a map
-        like x -> 6x mod 1, a float fixed point that every later step keeps.
+        intercept by `np.take`.  A finite image that rounds up onto domain_hi is clamped to the
+        float just below it: domain_hi is outside the half-open domain and, on a map like
+        x -> 6x mod 1, a float fixed point that every later step keeps.  Inf and NaN stay.
         """
         x = np.asarray(x, dtype=float)
         k = self.cells_many(x)
-        y = np.take(self.slopes_f, k) * x
+        y = np.asarray(np.take(self.slopes_f, k) * x)
         y += np.take(self.intercepts_f, k)
-        return np.minimum(y, self._top_f)
+        np.copyto(y, self._top_f, where=(y > self._top_f) & (y < np.inf))
+        return y
 
     def image_cells(self, k: int) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.transition[k]) if v)

@@ -115,33 +115,43 @@ class HyperbolicSkewProduct:
                 yb[...] = self.base.evaluate_many(yb)
 
 
+def _ball_blocks(radius: float, count: int, seed: int):
+    """The rows of `_ball_probes(radius, count, seed)`, _PUSH_BLOCK at a time: accepted
+    candidates a block leaves go to the next, so they are one stream's first count."""
+    rng = np.random.default_rng(seed)
+    keep = ()
+    for a in range(0, count, _PUSH_BLOCK):
+        block = np.empty((min(_PUSH_BLOCK, count - a), 2))
+        have = 0
+        while have < len(block):
+            if not len(keep):
+                cand = rng.uniform(-1.0, 1.0, size=(min(2 * (count - a) + 8, _PUSH_BLOCK), 2))
+                keep = np.flatnonzero(np.einsum("ij,ij->i", cand, cand) <= 1.0)
+            take, keep = keep[: len(block) - have], keep[len(block) - have :]
+            # mode="clip" writes straight into block; the default "raise" buffers it
+            np.take(cand, take, axis=0, out=block[have : have + len(take)], mode="clip")
+            have += len(take)
+        block *= radius
+        yield block
+
+
 def _ball_probes(radius: float, count: int, seed: int = 12345) -> np.ndarray:
     """Deterministic points of the disk of the given radius, shape (count, 2)."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, 2))
-    have = 0
-    while have < count:
-        # the first count accepted rows of one stream, however it is cut up
-        cand = rng.uniform(-1.0, 1.0, size=(min(2 * (count - have) + 8, _PUSH_BLOCK), 2))
-        keep = np.flatnonzero(np.einsum("ij,ij->i", cand, cand) <= 1.0)[: count - have]
-        # mode="clip" writes straight into out; the default "raise" buffers it
-        np.take(cand, keep, axis=0, out=out[have : have + len(keep)], mode="clip")
-        have += len(keep)
-    out *= radius
-    return out
+    return np.concatenate(list(_ball_blocks(radius, count, seed)))
 
 
 def validate_contraction(skew: HyperbolicSkewProduct, pairs: int = 100_000) -> float:
-    """Worst fiber contraction ratio over sampled same-base pairs."""
+    """Worst fiber contraction ratio over sampled same-base pairs, drawn a block at a time."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    diff = _ball_probes(skew.radius, pairs, seed=12345)
-    diff -= _ball_probes(skew.radius, pairs, seed=54321)
     # translation cancels on same-base pairs; ratio is |contraction| exactly
     kappa = abs(skew.fiber_map.contraction)
-    blocks = (np.linalg.norm(diff[a : a + _PUSH_BLOCK], axis=1) for a in range(0, pairs, _PUSH_BLOCK))
-    seps = (sep[sep > 0] for sep in blocks)
-    return float(max(np.max(kappa * sep / sep, initial=-math.inf) for sep in seps))
+    worst = -math.inf
+    for z, w in zip(_ball_blocks(skew.radius, pairs, 12345), _ball_blocks(skew.radius, pairs, 54321)):
+        sep = np.linalg.norm(np.subtract(z, w, out=z), axis=1)
+        sep = sep[sep > 0]
+        worst = max(worst, float(np.max(kappa * sep / sep, initial=-math.inf)))
+    return worst
 
 
 def validate_invariance(skew: HyperbolicSkewProduct, probes: int = 1_000) -> float:

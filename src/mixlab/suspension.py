@@ -10,9 +10,8 @@ functional whose vanishing characterizes roofs cohomologous to locally
 constant ones.
 
 An observable that declares its height frequency (``phi.omega``, see
-`correlation`) is read once per sample and then only where a sample crosses
-the roof; between crossings its correlation sums move by a rotation alone.
-Any other callable is read at every sample on every grid step.
+`correlation`) is read once per roof lap, each round moving every sample one
+lap on; any other callable is read at every sample on every grid step.
 
 All randomness is generated per batch from ``default_rng([seed, batch])``
 and batches are merged in index order, so results are byte-identical for
@@ -114,7 +113,7 @@ def suspend(base, roof: RoofFunction) -> SuspensionSemiflow:
 # flow advancement
 
 def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: Callable):
-    """In-place vectorized advance of a state batch by dt.
+    """In-place vectorized advance of a state batch by dt, for `_step_means`.
 
     The state is (x, z, u, r) with r equal to roof_many(x) elementwise; a
     point's roof changes only when it crosses, so r is refreshed at the
@@ -122,14 +121,11 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
     round of crossings gathers the crossing points once, moves them in the
     gathered arrays and scatters them back once; the next round takes only
     those still at or above their new roof.
-
-    Returns the indices of the points that crossed at least once: the first
-    round's, which hold every later round's.
     """
     bm = susp.base_map
     sk = susp.skew
     u += dt
-    crossed = idx = np.flatnonzero(u >= r)
+    idx = np.flatnonzero(u >= r)
     guard = int(dt / float(susp.roof.lower_bound)) + 2
     while len(idx):
         guard -= 1
@@ -147,7 +143,6 @@ def _advance_arrays(susp: SuspensionSemiflow, x, z, u, r, dt: float, roof_many: 
         u[idx] = ui
         r[idx] = ri
         idx = idx[ui >= ri]
-    return crossed
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +279,18 @@ def correlation(
     thread count never changes the output.
 
     `phi` may declare its height frequency as a float attribute ``omega``,
-    a promise that phi(x, u, z) = phi(x, 0, z) cos(omega u) for
-    0 <= u < r(x).  Between two roof crossings a sample's lap start tau
-    stays fixed, and cos(omega (t - tau)) = Re(e^{i omega t} e^{-i omega tau}),
-    so such a phi is read once per sample and then only at the samples
-    that crossed in a step (see `_event_means`).  Each batch first checks
-    the promise on its initial sample and raises ValueError, naming phi,
-    when phi(x, u, z) and phi(x, 0, z) cos(omega u) differ by more than
-    1e-9 max(1, max |phi(x, 0, z)|).  A phi without ``omega`` is evaluated
-    at every sample on every grid step.  The two routes agree to rounding,
-    not bit for bit.  The event route's means are numpy's pairwise sums
-    (``np.add.reduce``), not BLAS dot products, whose summation order may
-    follow the BLAS thread count, so a batch's bytes never depend on the
-    process that runs it.  A ``functools.wraps`` wrapper copies ``omega``
-    with the function's ``__dict__`` and so takes the same route.
+    a promise that phi(x, u, z) = phi(x, 0, z) cos(omega u) for 0 <= u < r(x).
+    Such a phi is read once per roof lap, one lap of every sample per round
+    (see `_lap_means`).  Each batch first checks the promise on its initial
+    sample and raises ValueError, naming phi, when phi(x, u, z) and
+    phi(x, 0, z) cos(omega u) differ by more than 1e-9 max(1, max |phi(x, 0, z)|).
+    A phi without ``omega`` is evaluated at every sample on every grid step.
+    The two routes agree to rounding, not bit for bit.  The lap route's grid
+    sums come from ``np.bincount`` and one ``cumsum``, which add in input
+    order, not from BLAS, whose summation order may follow the BLAS thread
+    count, so a batch's bytes never depend on the process that runs it.  A
+    ``functools.wraps`` wrapper copies ``omega`` with the function's
+    ``__dict__`` and so takes the same route.
 
     `threads` (1 to MAX_THREADS) is the number of worker processes, capped
     at the batch count.  The caller runs batches 0, workers, 2 workers, ...
@@ -327,11 +320,10 @@ def correlation(
         x, z, u = _sample_arrays(susp, rng, per_batch)
         # a copy: psi may return a view of the state, which the advance overwrites
         psi0 = np.array(_eval_obs(psi, x, u, z), dtype=float)
+        psi_mean = float(np.mean(psi0))  # taken first: the lap route compacts psi0 in place
         if omega is None:
-            means = _step_means(susp, phi, times, x, z, u, psi0)
-        else:
-            means = _event_means(susp, phi, float(omega), times, x, z, u, psi0)
-        return *means, float(np.mean(psi0))
+            return *_step_means(susp, phi, times, x, z, u, psi0), psi_mean
+        return *_lap_means(susp, phi, float(omega), times, x, z, u, psi0), psi_mean
 
     results = _map_batches(run_batch, n_batches, min(threads, n_batches))
     prod = np.stack([r[0] for r in results])
@@ -360,62 +352,79 @@ def _step_means(susp: SuspensionSemiflow, phi: Callable, times, x, z, u, psi0):
     return prod_means, phi_means
 
 
-def _event_means(susp: SuspensionSemiflow, phi: Callable, omega: float, times, x, z, u, psi0):
-    """The same means for phi(x, u, z) = a(x, z) cos(omega u), phi read only at crossings.
+def _lap_means(susp: SuspensionSemiflow, phi: Callable, omega: float, times, x, z, u, psi0):
+    """The same means for phi(x, u, z) = a(x, z) cos(omega u), every sample moved a lap a round.
 
-    With tau a sample's lap start (t - u while it stays under the roof),
-    phi o X^t = a cos(omega t) cos(omega tau) + a sin(omega t) sin(omega tau).
-    The rows a cos(omega tau), a sin(omega tau) and their products with
-    psi0 change only where a sample crosses, so each grid step sums four
-    rows and combines the sums with cos(omega t) and sin(omega t).
+    On a lap [tau, tau + r), phi o X^t = a cos(omega t) cos(omega tau) + a sin(omega t)
+    sin(omega tau), so the rows a cos(omega tau), a sin(omega tau) and both times psi0
+    go into a difference array, added at the first grid index with t_j >= tau and taken
+    off at the first with t_j >= tau + r; one cumsum gives the grid sums.  A sample
+    leaves once its next lap would start after the grid.
     """
     roof_many = susp.roof.value_many
+    n, m = len(x), len(times)
     r = roof_many(x)
-    n = len(x)
     a = np.array(_eval_obs(phi, x, np.zeros(n), z), dtype=float)
     _check_declaration(phi, omega, a, x, u, z)
-    rows = np.empty((4, n))
-    _start_laps(rows, omega, a, -u, psi0)
-    del a  # peak memory: only crossed samples read phi(x, 0, z) again
-    prod_means = np.empty(len(times))
-    phi_means = np.empty(len(times))
-    prev = 0.0
-    for j, t in enumerate(times):
-        if t > prev:
-            idx = _advance_arrays(susp, x, z, u, r, t - prev, roof_many)
-            prev = t
-            if len(idx):
-                zi = None if z is None else z[idx]
-                ai = np.asarray(_eval_obs(phi, x[idx], np.zeros(len(idx)), zi), dtype=float)
-                lap = np.empty((4, len(idx)))
-                _start_laps(lap, omega, ai, t - u[idx], psi0[idx])
-                rows[:, idx] = lap
-        # pairwise sums: the same bytes in every process, whatever BLAS does
-        ca, sa, pca, psa = np.add.reduce(rows, axis=1)
-        c, s = math.cos(omega * t), math.sin(omega * t)
-        prod_means[j] = (c * pca + s * psa) / n
-        phi_means[j] = (c * ca + s * sa) / n
-    return prod_means, phi_means
+    tau = np.negative(u, out=u)
+    start = np.zeros(n, dtype=np.intp)  # tau <= 0 <= t_0
+    diff = np.zeros((4, m + 1))
+
+    def spread(at, row):  # bincount sums in input order: the same bytes in every process
+        diff[at] += np.bincount(start, row, m + 1)
+        diff[at] -= np.bincount(end, row, m + 1)
+
+    for _ in range(int((times[-1] + susp.roof_sup) / float(susp.roof.lower_bound)) + 2):
+        phase = np.multiply(omega, tau)
+        rows = np.cos(phase), np.sin(phase, out=phase)
+        for row in rows:
+            row *= a
+        tau += r
+        del a, r  # peak memory: a round holds two lap rows, freed before the next lap is read
+        end = _grid_index(times, tau)
+        for k, row in enumerate(rows):
+            spread(k, row)
+            row *= psi0
+            spread(k + 2, row)
+        del rows, row, phase
+        live = end < m
+        if not live.any():
+            break
+        if not live.all():  # live samples move to the front of the batch's own arrays
+            k, end = np.count_nonzero(live), end[live]
+            for v in (x, tau, psi0) if z is None else (x, tau, psi0, z):
+                v[:k] = v[live]
+            x, tau, psi0, z = x[:k], tau[:k], psi0[:k], None if z is None else z[:k]
+        if z is not None:
+            susp.skew.fiber_map(x, z, out=z)
+        x[:] = susp.base_map.evaluate_many(x)
+        r = roof_many(x)
+        a = np.asarray(_eval_obs(phi, x, np.zeros(len(x)), z), dtype=float)
+        start = end
+    else:
+        raise CrossingBudgetExceeded("lap count exceeded the roof lower-bound budget")
+    ca, sa, pca, psa = np.cumsum(diff[:, :m], axis=1)
+    c, s = np.cos(omega * times), np.sin(omega * times)
+    return (c * pca + s * psa) / n, (c * ca + s * sa) / n
 
 
-def _start_laps(out, omega: float, a, tau, psi0) -> None:
-    """Rows a cos(omega tau), a sin(omega tau) and both times psi0, written into out."""
-    phase = omega * tau
-    np.cos(phase, out=out[0])
-    np.sin(phase, out=out[1])
-    out[:2] *= a
-    np.multiply(out[:2], psi0, out=out[2:])
+def _grid_index(times, t):
+    """For each t the first j with times[j] >= t, or len(times): ceil((t - t_0) / step),
+    corrected by comparisons until t_{j-1} < t <= t_j (once, on a uniform grid)."""
+    m = len(times)
+    j = np.subtract(t, times[0])
+    j *= (m - 1) / (times[-1] - times[0]) if m > 1 else 1.0
+    j = np.clip(np.ceil(j, out=j), 0, m, out=j).astype(np.intp)
+    padded = np.concatenate(([-np.inf], times, [np.inf]))
+    while (high := padded[j] >= t).any() | (low := padded[j + 1] < t).any():
+        j -= high
+        j += low
+    return j
 
 
 def _check_declaration(phi: Callable, omega: float, a, x, u, z) -> None:
     """Raise ValueError unless phi(x, u, z) = a cos(omega u) on the sample, a = phi(x, 0, z)."""
-    # one scratch buffer: this runs on the whole batch
-    gap = np.multiply(omega, u)
-    np.cos(gap, out=gap)
-    gap *= a
-    np.subtract(_eval_obs(phi, x, u, z), gap, out=gap)
-    np.abs(gap, out=gap)
-    worst = float(np.max(gap, initial=0.0))
+    worst = float(np.max(np.abs(_eval_obs(phi, x, u, z) - a * np.cos(omega * u)), initial=0.0))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(a), initial=0.0)))
     if not worst <= tol:
         name = getattr(phi, "__name__", repr(phi))
@@ -506,8 +515,7 @@ def default_observables(susp: SuspensionSemiflow) -> list[tuple[str, Callable, C
 
         fiber_first.omega = omega
         fiber_last.omega = 0.0
-        pairs.append(("fiber_first", fiber_first, fiber_first))
-        pairs.append(("fiber_last", fiber_last, fiber_last))
+        pairs += [("fiber_first", fiber_first, fiber_first), ("fiber_last", fiber_last, fiber_last)]
     return pairs
 
 
@@ -528,18 +536,11 @@ class DecayFit:
     points_used: int
 
     def summary(self) -> str:
-        lines = [
-            f"gamma={self.decay_rate!r}",
-            f"gamma_stderr={self.slope_stderr!r}",
-            f"C={self.prefactor!r}",
-            f"r2={self.r_squared!r}",
-            f"window_lo={self.window[0]!r}",
-            f"window_hi={self.window[1]!r}",
-            f"noise_floor={self.noise_floor!r}",
-            f"points_used={self.points_used}",
-            f"verdict={self.verdict}",
-        ]
-        return "\n".join(lines) + "\n"
+        names = ("gamma", "gamma_stderr", "C", "r2", "window_lo", "window_hi", "noise_floor")
+        values = (self.decay_rate, self.slope_stderr, self.prefactor, self.r_squared, *self.window,
+                  self.noise_floor)
+        lines = [f"{k}={v!r}" for k, v in zip(names, values)]
+        return "\n".join(lines + [f"points_used={self.points_used}", f"verdict={self.verdict}"]) + "\n"
 
 
 def fit_rate(series: CorrelationSeries) -> DecayFit:
@@ -575,16 +576,8 @@ def fit_rate(series: CorrelationSeries) -> DecayFit:
 
     no_decay = slope >= 0.0 or abs(slope) <= 1.96 * slope_se
     verdict = "NoDecay" if no_decay else "ExponentialDecay"
-    return DecayFit(
-        decay_rate=-slope,
-        prefactor=math.exp(intercept),
-        r_squared=r2,
-        window=(float(t[0]), float(t[-1])),
-        verdict=verdict,
-        slope_stderr=slope_se,
-        noise_floor=floor,
-        points_used=len(idx),
-    )
+    window = (float(t[0]), float(t[-1]))
+    return DecayFit(-slope, math.exp(intercept), r2, window, verdict, slope_se, floor, len(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +620,7 @@ def temporal_distance(susp: SuspensionSemiflow, x, y, depth: int) -> TemporalDis
     if depth < 1:
         raise ValueError("depth must be at least 1")
     bm = susp.base_map
-    exact = (
-        susp.roof.exact
-        and isinstance(x, Rational)
-        and isinstance(y, Rational)
-    )
+    exact = susp.roof.exact and isinstance(x, Rational) and isinstance(y, Rational)
     px = Fraction(x) if exact else float(x)
     py = Fraction(y) if exact else float(y)
     bx = _backward_sum(susp, exact, px, depth)

@@ -100,7 +100,8 @@ def test_evaluate_many_cell_search_matches_clipped_edge_search(m):
     old_k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m.n_cells - 1)
     assert np.array_equal(np.searchsorted(m._inner_edges_f, x, side="right"), old_k)
     top = math.nextafter(float(m.domain_hi), -math.inf)
-    old = np.minimum(m.slopes_f[old_k] * x + m.intercepts_f[old_k], top)
+    old = m.slopes_f[old_k] * x + m.intercepts_f[old_k]
+    old = np.where(old == np.inf, old, np.minimum(old, top))  # only finite images are clamped
     assert m.evaluate_many(x).tobytes() == old.tobytes()
 
 
@@ -123,13 +124,29 @@ def test_cells_many_counts_what_the_threshold_search_finds(m):
     x = np.append(x, np.nan)
     k = np.searchsorted(t, x, side="right")
     top = math.nextafter(float(m.domain_hi), -math.inf)
-    want = np.minimum(m.slopes_f[k] * x + m.intercepts_f[k], top)
+    want = m.slopes_f[k] * x + m.intercepts_f[k]
+    want = np.where(want == np.inf, want, np.minimum(want, top))  # only finite images are clamped
     assert m.cells_many(np.nan) == 0 and np.isnan(m.evaluate_many(np.nan))
     assert m.evaluate_many(x).tobytes() == want.tobytes()
     # a 0-d input gives a 0-d cell and the image a one-point array gets
     for p in (0.3, t[0], np.inf, -np.inf):
         assert m.cells_many(p).shape == () and m.cells_many(p) == m.cells_many([p])[0]
         assert np.asarray(m.evaluate_many(p)).tobytes() == m.evaluate_many(np.array([p])).tobytes()
+
+
+@pytest.mark.parametrize(
+    "m", [doubling_map(), three_branch_map(), expanding_circle_map(5)],
+    ids=["doubling", "three_branch", "circle_5"],
+)
+def test_evaluate_many_keeps_non_finite_points_non_finite(m):
+    # +inf is not clamped onto the float below domain_hi: no non-finite
+    # point becomes an ordinary in-domain point, on either side
+    y = m.evaluate_many(np.array([np.inf, -np.inf, np.nan, 0.3]))
+    assert y[0] == np.inf and y[1] == -np.inf and np.isnan(y[2])
+    assert y[3] == m.evaluate_many(np.array([0.3]))[0] and 0.0 <= y[3] < 1.0
+    for p in (np.inf, -np.inf):
+        assert m.evaluate_many(p) == p
+    assert np.isnan(m.evaluate_many(np.nan))
 
 
 def _exact_cell(m, x):

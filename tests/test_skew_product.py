@@ -489,12 +489,19 @@ def test_chunked_ball_probes_and_contraction_are_the_whole_draw(monkeypatch, blo
         for seed in (777, 12345):
             got = skew_product._ball_probes(0.7, count, seed=seed)
             assert got.tobytes() == _masked_ball_probes(0.7, count, seed).tobytes()
-    pairs = counts[-1]
-    sep = np.linalg.norm(
-        _masked_ball_probes(0.7, pairs, 12345) - _masked_ball_probes(0.7, pairs, 54321), axis=1
-    )
-    sep = sep[sep > 0]
-    assert validate_contraction(skew, pairs=pairs) == float(np.max(0.37 * sep / sep))
+    # the two streams validate_contraction pairs, read a block of each at a time
+    for pairs in counts:
+        for seed in (12345, 54321):
+            blocks = list(skew_product._ball_blocks(0.7, pairs, seed))
+            assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            assert 0 < len(blocks[-1]) <= block
+            whole = _masked_ball_probes(0.7, pairs, seed)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        sep = np.linalg.norm(
+            _masked_ball_probes(0.7, pairs, 12345) - _masked_ball_probes(0.7, pairs, 54321), axis=1
+        )
+        sep = sep[sep > 0]
+        assert validate_contraction(skew, pairs=pairs) == float(np.max(0.37 * sep / sep))
 
 
 def test_ball_probes_and_contraction_keep_their_bytes():

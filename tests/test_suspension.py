@@ -30,6 +30,7 @@ from mixlab.suspension import (
     fit_rate,
     _advance_arrays,
     _draw_base,
+    _lap_means,
     _sample_arrays,
     suspend,
     svg_log_plot,
@@ -220,11 +221,8 @@ def test_gathered_advance_is_the_masked_advance(make, dt):
     live = np.empty(len(x), dtype=bool)
     for _ in range(200):
         rounds.clear()
-        expected = np.flatnonzero(u + dt >= r)
-        crossed = _advance_arrays(susp, x, z, u, r, dt, counted_roof)
+        assert _advance_arrays(susp, x, z, u, r, dt, counted_roof) is None
         ox, oz, ou = _advance_by_mask(susp, ox, oz, ou, orr, live, dt, roof_many)
-        # the first round's crossings, which hold every later round's
-        assert crossed.tobytes() == expected.tobytes()
         assert len(rounds) >= 2 and rounds[1] == len(x)
         assert x.tobytes() == ox.tobytes() and u.tobytes() == ou.tobytes()
         assert r.tobytes() == orr.tobytes()
@@ -369,6 +367,15 @@ def _base_wave(x, u):
 _base_wave.omega = 0.0
 _DOUBLING_STEPS = np.arange(0.0, 45.0 + 1e-9, 4.5)
 _SOLENOID_GRID = np.linspace(0.0, 6.0, 25)
+# criterion 4's grid, rounded so that its points are the decimals they name
+_C4_GRID = np.round(np.arange(0.0, 30.0 + 1e-9, 0.1), 10)
+
+
+def _phase_wave(x, u):
+    return np.cos(2.0 * np.pi * u)
+
+
+_phase_wave.omega = 2.0 * np.pi
 
 
 @pytest.mark.parametrize(
@@ -383,12 +390,22 @@ _SOLENOID_GRID = np.linspace(0.0, 6.0, 25)
         pytest.param(_solenoid_susp, lambda s, k=k: default_observables(s)[k][1], _SOLENOID_GRID,
                      id=f"solenoid-{name}")
         for k, name in enumerate(("height_mix", "fiber_first", "fiber_last"))
+    ]
+    + [
+        pytest.param(_const_susp, lambda s: _phase_wave, _C4_GRID, id="c4-constant-roof"),
+        pytest.param(_xsq_susp, lambda s: default_observables(s)[0][1], None, id="c5-default-grid"),
+        pytest.param(_xsq_susp, lambda s: default_observables(s)[0][1],
+                     np.array([0.0, 0.5, 1.5, 2.5]), id="non-uniform-grid"),
+        pytest.param(_xsq_susp, lambda s: default_observables(s)[0][1],
+                     np.linspace(2.25, 9.0, 28), id="grid-from-t-positive"),
+        pytest.param(_xsq_susp, lambda s: default_observables(s)[0][1], np.array([3.7]),
+                     id="one-point-grid"),
     ],
 )
 def test_event_series_is_the_per_step_series(make, pick, times):
     # the same function behind a lambda carries no omega, so it takes the
-    # per-step loop; on the doubling grid every point crosses at least
-    # twice per step
+    # per-step loop, the reference for the lap loop; on the doubling grid
+    # every point crosses at least twice per step
     susp = make()
     phi = pick(susp)
     assert isinstance(phi.omega, float)
@@ -396,9 +413,46 @@ def test_event_series_is_the_per_step_series(make, pick, times):
     kw = dict(times=times, samples=6000, seed=12, batch_size=2000)
     event = correlation(susp, phi, phi, **kw)
     plain = correlation(susp, per_step, per_step, **kw)
+    assert np.array_equal(event.times, plain.times)
     assert np.max(np.abs(event.values - plain.values)) <= 1e-12
     assert np.max(np.abs(event.std_errors - plain.std_errors)) <= 1e-12
     assert np.max(np.abs(plain.values)) > 1e-3
+
+
+def test_lap_rounds_are_bounded_by_the_roof_not_the_grid(monkeypatch):
+    # criterion 5's model on its default grid: every round moves each live
+    # sample one lap, so a batch takes one base step per lap that starts on
+    # the grid, not one per grid step
+    susp = _xsq_susp()
+    _, phi, psi = default_observables(susp)[0]
+    times = susp.default_times()
+    calls = []
+    evaluate_many = ExpandingMarkovMap.evaluate_many
+
+    def counted_step(self, xs):
+        calls.append(np.size(xs))
+        return evaluate_many(self, xs)
+
+    monkeypatch.setattr(ExpandingMarkovMap, "evaluate_many", counted_step)
+    batches = 3
+    correlation(susp, phi, psi, times=times, samples=3000 * batches, seed=4, batch_size=3000)
+    bound = (times[-1] + susp.roof_sup) / float(susp.roof.lower_bound) + 1
+    assert 10 < len(calls) / batches <= bound < (len(times) - 1) / 5
+
+
+def test_lap_batch_working_set(traced_peak):
+    # one 25,000-sample batch of criterion 5's model on its default grid: the
+    # state stays in the batch's own arrays and a round holds two lap rows,
+    # so the lap loop allocates at most about six sample-length arrays.  The
+    # event route it replaced peaked at 1.60 MB measured this way.
+    susp = _xsq_susp()
+    _, phi, _ = default_observables(susp)[0]
+    n = 25_000
+    x, z, u = _sample_arrays(susp, np.random.default_rng([11, 0]), n)
+    psi0 = np.array(phi(x, u))
+    times = susp.default_times()
+    peak = traced_peak(lambda: _lap_means(susp, phi, phi.omega, times, x, z, u, psi0))
+    assert peak <= 1.60e6 + 0.1e6
 
 
 def test_wrapped_declared_observable_keeps_bytes():
