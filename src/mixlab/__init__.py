@@ -41,9 +41,7 @@ from .roof import (
     Witness,
     certify_coboundary,
     constant_roof,
-    cosine_roof,
     per_branch_polynomial_roof,
-    perturb_bump,
     polynomial_roof,
     witness_search,
 )

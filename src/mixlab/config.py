@@ -215,7 +215,7 @@ def build_map(cfg: ExperimentConfig) -> ExpandingMarkovMap:
         )
     if kind == "solenoid":
         raise ConfigError(
-            f"[model] kind=solenoid needs build_solenoid, not build_map ({cfg.path})"
+            f"model kind 'solenoid' for {cfg.where('model', 'kind')}; this subcommand needs kind builtin"
         )
     _require(cfg, "model", ("name",))
     name = model["name"].strip()
@@ -230,8 +230,11 @@ def build_map(cfg: ExperimentConfig) -> ExpandingMarkovMap:
 def build_solenoid(cfg: ExperimentConfig) -> SolenoidModel:
     """Solenoid from [model] with kind=solenoid."""
     model = cfg.model
-    if model.get("kind", "").strip() != "solenoid":
-        raise ConfigError(f"[model] kind must be solenoid ({cfg.path})")
+    kind = model.get("kind", "builtin").strip()
+    if kind != "solenoid":
+        raise ConfigError(
+            f"model kind {kind!r} for {cfg.where('model', 'kind')}; this subcommand needs kind solenoid"
+        )
     _require(cfg, "model", ("expansion", "contraction", "offset"))
     expansion = _get_int(model, "expansion", cfg.where("model", "expansion"), lo=2)
     contraction = _fraction(cfg, "model", "contraction")

@@ -29,7 +29,7 @@ class InsufficientDepth(MixlabError):
 
 
 class InvalidRoof(MixlabError):
-    """Roof data a builder rejects: a non-positive roof, or a malformed table or bump."""
+    """Roof data a builder rejects: a non-positive roof, or a malformed coefficient table."""
 
 
 class DepthOverflow(MixlabError):

@@ -1,10 +1,10 @@
 """Roof functions over expanding Markov maps.
 
 A roof assigns a positive flow time to each base point.  The module
-provides a periodic-orbit witness search that detects when the roof is not
-cohomologous to any function constant on partition cells, certification of
-explicit coboundary representations, and a compactly supported bump
-perturbation used to force a witness.
+provides polynomial roofs with certified constants, a periodic-orbit witness
+search that detects when the roof is not cohomologous to any function
+constant on partition cells, and certification of explicit coboundary
+representations.
 
 Roofs built from rational polynomial data evaluate exactly on Fraction
 inputs, by Horner's rule in integers, and the witness search then reports
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Sequence
@@ -32,9 +32,6 @@ WITNESS_THRESHOLD = 1e-10
 # attained values by more than this fraction of their largest magnitude
 ENCLOSURE_RTOL = Fraction(1, 1000)
 _COBOUNDARY_PROBES = 10_000  # certify_coboundary's probe points per branch
-
-# sup of |d/du (1-u^2)^3| on [-1,1] is 96/(25*sqrt(5)), attained at u=1/sqrt(5)
-_BUMP_SLOPE_SUP = 96.0 / (25.0 * math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class RoofFunction:
     on each partition cell, set by the polynomial builders only when every
     coefficient is rational, and None for any other roof.  `value` must
     agree with it wherever it is set: a wrapper that records the calls
-    keeps it, and a change of the function (`perturb_bump`) drops it.
+    keeps it, and a roof whose function differs from the table drops it.
     """
 
     base: ExpandingMarkovMap
@@ -274,30 +271,6 @@ def constant_roof(base: ExpandingMarkovMap, c) -> RoofFunction:
     return polynomial_roof(base, (c,))
 
 
-def cosine_roof(
-    base: ExpandingMarkovMap, mean: float, amplitude: float, frequency: int = 1
-) -> RoofFunction:
-    """r(x) = mean + amplitude*cos(2 pi frequency x); requires mean > |amplitude|.
-
-    The constants are closed forms: mean -+ |amplitude| and
-    2 pi frequency |amplitude| times the map's `expansion_bound`.
-    """
-    if not mean > abs(amplitude):
-        raise InvalidRoof("cosine roof must stay positive: need mean > |amplitude|")
-
-    def value(x):
-        return mean + amplitude * math.cos(2.0 * math.pi * frequency * float(x))
-
-    def value_many(xs):
-        return mean + amplitude * np.cos(2.0 * np.pi * frequency * np.asarray(xs, dtype=float))
-
-    k = 2.0 * math.pi * frequency * abs(amplitude) * base.expansion_bound
-    return RoofFunction(
-        base, value, value_many, mean - abs(amplitude), mean + abs(amplitude),
-        k * (1.0 + 1e-6), False,
-    )
-
-
 # -- periodic-orbit witness search -------------------------------------------
 
 
@@ -307,8 +280,6 @@ class Witness:
 
     itinerary1: tuple[int, ...]
     itinerary2: tuple[int, ...]
-    x1: object
-    x2: object
     sum1: object
     sum2: object
 
@@ -414,8 +385,8 @@ def witness_search(roof: RoofFunction, max_period: int) -> CohomologyReport:
     Each orbit is walked once, on integer numerators (`orbit_walk`).  A
     roof with `cell_coefficients` sums the lap from that table in integers
     over one common denominator and builds one Fraction for it; any other
-    roof (bumped, cosine, float coefficients) sums `roof.value` over the
-    orbit points.
+    roof (float coefficients, or a `value` of its own) sums `roof.value`
+    over the orbit points.
     """
     if max_period < 2:
         raise ValueError("max_period must be >= 2")
@@ -423,7 +394,7 @@ def witness_search(roof: RoofFunction, max_period: int) -> CohomologyReport:
     m = roof.base
     lap_sum = _lap_sum(roof.cell_coefficients) if roof.cell_coefficients else None
 
-    # (word, first point, one-lap sum, one-lap visit counts) per minimal period
+    # (word, one-lap sum, one-lap visit counts) per minimal period
     classes: dict[int, list] = {}
     for q in range(1, max_period + 1):
         rows = []
@@ -435,40 +406,39 @@ def witness_search(roof: RoofFunction, max_period: int) -> CohomologyReport:
                 lap = sum(roof.value(Fraction(p, d)) for _, p, d in walk)
             else:
                 lap = lap_sum(walk)
-            _, p0, d0 = walk[0]
             visits = tuple(word.count(c) for c in range(m.n_cells))
-            rows.append((word, Fraction(p0, d0), lap, visits))
+            rows.append((word, lap, visits))
         classes[q] = rows
 
     for p in range(2, max_period + 1):
         groups: dict[tuple, list] = {}
         for q in _divisors(p):
             reps = p // q
-            for word, x0, lap, visits in classes[q]:
+            for word, lap, visits in classes[q]:
                 if reps > 1:  # one lap is used as it stands, with no copy
                     word, lap, visits = word * reps, lap * reps, tuple(v * reps for v in visits)
-                groups.setdefault(visits, []).append((word, x0, lap))
+                groups.setdefault(visits, []).append((word, lap))
         best = None
         for members in groups.values():
             if len(members) < 2:
                 continue
             # a group whose sums span no more than the threshold has no pair
             # above it; rounding is monotone, so this holds for floats too
-            sums = [s for _, _, s in members]
+            sums = [s for _, s in members]
             if max(sums) - min(sums) <= threshold:
                 continue
             members.sort(key=lambda t: t[0])
-            for (w1, x1, s1), (w2, x2, s2) in itertools.combinations(members, 2):
+            for (w1, s1), (w2, s2) in itertools.combinations(members, 2):
                 gap = abs(s1 - s2)
                 if gap <= threshold:
                     continue
-                cand = (gap, w1, w2, x1, x2, s1, s2)
+                cand = (gap, w1, w2, s1, s2)
                 if best is None or gap > best[0] or (gap == best[0] and (w1, w2) < (best[1], best[2])):
                     best = cand
         if best is not None:
-            gap, w1, w2, x1, x2, s1, s2 = best
+            gap, w1, w2, s1, s2 = best
             return CohomologyReport(
-                witness=Witness(w1, w2, x1, x2, s1, s2),
+                witness=Witness(w1, w2, s1, s2),
                 searched_periods=p,
                 verdict="WitnessFound",
             )
@@ -496,67 +466,3 @@ def certify_coboundary(roof: RoofFunction, gamma_coboundary: Callable) -> float:
         + np.asarray(gamma_coboundary(xs), dtype=float)
     )
     return float(np.max(vals.max(axis=1) - vals.min(axis=1)))
-
-
-# -- bump perturbation ---------------------------------------------------------
-
-
-def perturb_bump(roof: RoofFunction, center, radius, amplitude) -> RoofFunction:
-    """Add a compactly supported bump a*(1 - u^2)^3, u = (x-center)/radius.
-
-    The bump is C^2 with support [center-radius, center+radius] and peaks
-    at `amplitude` on the center, so the certified bounds move by closed
-    forms: a positive amplitude raises the upper bound by exactly that
-    much, a negative one lowers the lower bound by |amplitude|, and the
-    Lipschitz constant grows by the bump's slope bound.  Positivity
-    requires |amplitude| < the roof's lower bound.  The bump may touch any
-    periodic orbit; witness_search on the result says whether a witness
-    survives it.
-    """
-    if not radius > 0:
-        raise InvalidRoof("bump radius must be positive")
-    if abs(amplitude) >= float(roof.lower_bound):
-        raise InvalidRoof("bump |amplitude| must stay below the roof lower bound")
-    if amplitude == 0:
-        return roof
-
-    exact = roof.exact and all(_is_rational(v) for v in (center, radius, amplitude))
-    if exact:
-        c, rad, amp = Fraction(center), Fraction(radius), Fraction(amplitude)
-    else:
-        c, rad, amp = float(center), float(radius), float(amplitude)
-    old_value = roof.value
-
-    def value(x):
-        base_val = old_value(x)
-        u = (x - c) / rad
-        if not -1 < u < 1:
-            return base_val
-        w = 1 - u * u
-        return base_val + amp * w * w * w
-
-    old_many = roof.value_many
-    fc, frad, famp = float(center), float(radius), float(amplitude)
-
-    def value_many(xs):
-        vals = np.asarray(old_many(xs), dtype=float).copy()
-        u = (np.asarray(xs, dtype=float) - fc) / frad
-        mask = np.abs(u) < 1.0
-        w = 1.0 - u[mask] * u[mask]
-        vals[mask] += famp * w * w * w
-        return vals
-
-    new_lower = float(roof.lower_bound) + min(0.0, float(amplitude))
-    new_lip = float(roof.branch_lipschitz) + (
-        _BUMP_SLOPE_SUP * abs(float(amplitude)) / float(radius)
-    ) * roof.base.expansion_bound * (1.0 + 1e-6)
-    return replace(
-        roof,
-        value=value,
-        lower_bound=new_lower,
-        upper_bound=roof.upper_bound + max(0, amplitude),
-        branch_lipschitz=new_lip,
-        exact=exact,
-        value_many=value_many,
-        cell_coefficients=None,
-    )

@@ -71,7 +71,7 @@ class SuspensionSemiflow:
     roof_sup: float
     # the base cells' invariant masses cumulated in Fraction: 0, ..., exactly 1.0
     _mass_cuts: np.ndarray = field(init=False, repr=False, compare=False)
-    # temporal_distance's backward roof sums, keyed by (exact, point, depth)
+    # temporal_distance's backward roof sums, keyed by (point, depth)
     _backward_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -83,11 +83,12 @@ class SuspensionSemiflow:
         sk = self.skew
         return sk.base if sk is not None else self.base
 
-    def default_times(self, dt: float = DEFAULT_DT, t_max: float | None = None) -> np.ndarray:
+    def default_times(self, t_max: float | None = None) -> np.ndarray:
+        """Grid 0, DEFAULT_DT, ... up to t_max (DEFAULT_SPAN_MULT mean roofs by default)."""
         if t_max is None:
             t_max = DEFAULT_SPAN_MULT * self.mean_roof
-        steps = int(round(t_max / dt))
-        return np.linspace(0.0, steps * dt, steps + 1)
+        steps = int(round(t_max / DEFAULT_DT))
+        return np.linspace(0.0, steps * DEFAULT_DT, steps + 1)
 
 
 def suspend(base, roof: RoofFunction) -> SuspensionSemiflow:
@@ -587,7 +588,7 @@ def fit_rate(series: CorrelationSeries) -> DecayFit:
 class TemporalDistance:
     """Truncated two-sided roof-difference sum along the branch-0 past."""
 
-    value: float
+    value: Fraction
     truncation_bound: float
     depth: int
 
@@ -601,13 +602,12 @@ def temporal_distance(susp: SuspensionSemiflow, x, y, depth: int) -> TemporalDis
         sum_{k=1}^{depth} [ r(H_k y) - r(H_k x) ] = B(y) - B(x),
 
     with H_k the k-step pull and B(p) = sum_{k=1}^{depth} r(H_k p) one
-    point's backward roof sum along the chain.  The regrouping is exact
-    in Fraction arithmetic; on the float path (an inexact roof or a float
-    point) the difference of the two sums may round differently in its
-    last bits from the sum of differences.  B is memoised on the
-    suspension under the key (exact, point, depth), so an n x n grid pulls
-    back n points; the memo lives and dies with the suspension, and a
-    float point never reads an exact entry.
+    point's backward roof sum along the chain.  The arithmetic is exact:
+    both points must be rational and the roof exact (ValueError
+    otherwise), so the value is a Fraction and the regrouping changes no
+    digit.  B is memoised on the suspension under the key (point, depth),
+    so an n x n grid pulls back n points; the memo lives and dies with the
+    suspension.
 
     Forward-orbit terms cancel exactly because the bracket point shares
     the future coding whose roof values it is compared against, so only
@@ -619,12 +619,11 @@ def temporal_distance(susp: SuspensionSemiflow, x, y, depth: int) -> TemporalDis
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not (susp.roof.exact and isinstance(x, Rational) and isinstance(y, Rational)):
+        raise ValueError("temporal distance needs rational points on an exact roof")
     bm = susp.base_map
-    exact = susp.roof.exact and isinstance(x, Rational) and isinstance(y, Rational)
-    px = Fraction(x) if exact else float(x)
-    py = Fraction(y) if exact else float(y)
-    bx = _backward_sum(susp, exact, px, depth)
-    total = _backward_sum(susp, exact, py, depth) - bx
+    bx = _backward_sum(susp, Fraction(x), depth)
+    total = _backward_sum(susp, Fraction(y), depth) - bx
 
     # |r(H_k y) - r(H_k x)| <= K lam^(k-1) |y - x| with lam the inverse-branch
     # contraction bound, so the dropped tail is K |y-x| lam^depth / (1 - lam)
@@ -632,7 +631,7 @@ def temporal_distance(susp: SuspensionSemiflow, x, y, depth: int) -> TemporalDis
     bound = (
         float(susp.roof.branch_lipschitz) * abs(float(y) - float(x)) * lam**depth / (1.0 - lam)
     )
-    return TemporalDistance(total if exact else float(total), bound, depth)
+    return TemporalDistance(total, bound, depth)
 
 
 def _tdist_grid(susp: SuspensionSemiflow, points: Sequence, depth: int):
@@ -653,16 +652,16 @@ def _tdist_grid(susp: SuspensionSemiflow, points: Sequence, depth: int):
     return worst, "\n".join(rows) + "\n"
 
 
-def _backward_sum(susp: SuspensionSemiflow, exact: bool, p, depth: int):
-    """B(p) = sum of r(H_k p) over `depth` branch-0 pulls, memoised on the suspension."""
-    key = (exact, p, depth)
+def _backward_sum(susp: SuspensionSemiflow, p: Fraction, depth: int) -> Fraction:
+    """B(p) = sum of r(H_k p) over `depth` branch-0 pulls, exact and memoised on the suspension."""
+    key = (p, depth)
     hit = susp._backward_sums.get(key)
     if hit is not None:
         return hit
     bm = susp.base_map
     value = susp.roof.value
     pull = bm.branches[0].inverse
-    total = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     for _ in range(depth):
         try:
             cell = bm.cell_index(p)

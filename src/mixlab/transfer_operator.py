@@ -309,14 +309,11 @@ class PolynomialOperator:
     def leading_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Left and right eigenvectors of eigenvalue 1: the integral and the invariant density.
 
-        The density solves (M - I) rho = 0 with weights @ rho = 1 in the
-        least-squares sense, which is exact when eigenvalue 1 is simple.
+        The density is the exact `cell_density`: constant on each cell, so
+        the space holds it exactly, as its value at every node of the cell.
+        Its integral ``weights @ rho`` is 1 to rounding.
         """
-        size = len(self.matrix)
-        system = np.vstack([self.matrix - np.eye(size), self.weights])
-        rhs = np.zeros(size + 1)
-        rhs[-1] = 1.0
-        rho = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        rho = np.repeat([float(h) for h in cell_density(self.map)], self.degree + 1)
         return self.weights, rho
 
 

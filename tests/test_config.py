@@ -250,12 +250,16 @@ def test_build_map_affine_markov_diagnostics(patch, message):
 def test_solenoid_kind_routes_to_dedicated_builder():
     text = "[model]\nkind = solenoid\nexpansion = 2\ncontraction = 20\noffset = 1/4\n"
     cfg = parse_config(text)
-    with pytest.raises(ConfigError, match="build_solenoid"):
+    # a mismatched kind names the key and its line, and the kind needed
+    with pytest.raises(ConfigError, match=r"\(<string>, line 2\); this subcommand needs kind builtin"):
         build_map(cfg)
     model = build_solenoid(cfg)
     assert model.expansion == 2
     assert model.kappa == pytest.approx(0.05)
-    with pytest.raises(ConfigError, match="kind must be solenoid"):
+    builtin = "[model]\nkind = builtin\nname = doubling\n"
+    with pytest.raises(ConfigError, match=r"'builtin' for .*, line 2\); this subcommand needs kind solenoid"):
+        build_solenoid(parse_config(builtin))
+    with pytest.raises(ConfigError, match=r"'builtin' for .*, not set\); this subcommand needs kind solenoid"):
         build_solenoid(parse_config("[model]\nname = doubling\n"))
 
 

@@ -27,14 +27,14 @@ from mixlab.roof import (
     Witness,
     certify_coboundary,
     constant_roof,
-    cosine_roof,
     enumerate_cyclic_classes,
     per_branch_polynomial_roof,
-    perturb_bump,
     polynomial_roof,
     witness_search,
 )
 from mixlab.suspension import suspend
+
+from bump import perturb_bump
 
 GAP = Fraction(4, 45)  # 26/5 - 46/9, the period-4 obstruction for 1 + x^2
 
@@ -79,11 +79,13 @@ def test_witness_orbit_segments_share_visit_counts():
 
 
 def test_witness_sums_confirmed_by_forward_iteration():
-    # independent route: Birkhoff sums from the stored periodic points
+    # independent route: Birkhoff sums by forward iteration from each
+    # itinerary's periodic point
     roof = xsq_roof()
     w = witness_search(roof, max_period=4).witness
-    assert birkhoff_sum(roof, w.x1, w.period) == w.sum1
-    assert birkhoff_sum(roof, w.x2, w.period) == w.sum2
+    for word, total in ((w.itinerary1, w.sum1), (w.itinerary2, w.sum2)):
+        _, p, q = roof.base.orbit_walk(word)[0]
+        assert birkhoff_sum(roof, Fraction(p, q), w.period) == total
 
 
 def test_float_birkhoff_sum_survives_an_image_rounded_onto_domain_hi():
@@ -148,22 +150,21 @@ def _all_pairs_witness(roof, max_period, threshold=WITNESS_THRESHOLD):
         for word in _rotation_set_classes(m, q):
             walk = m.orbit_walk(word)
             if walk is not None:
-                orbit = [Fraction(num, den) for _, num, den in walk]
-                laps[q].append((word, orbit[0], sum(roof.value(x) for x in orbit)))
+                laps[q].append((word, sum(roof.value(Fraction(num, den)) for _, num, den in walk)))
     for p in range(2, max_period + 1):
         orbits = sorted(
-            (word * (p // q), x0, lap * (p // q))
-            for q in range(1, p + 1) if p % q == 0 for word, x0, lap in laps[q]
+            (word * (p // q), lap * (p // q))
+            for q in range(1, p + 1) if p % q == 0 for word, lap in laps[q]
         )
         cands = [
-            (abs(s1 - s2), w1, w2, x1, x2, s1, s2)
-            for (w1, x1, s1), (w2, x2, s2) in itertools.combinations(orbits, 2)
+            (abs(s1 - s2), w1, w2, s1, s2)
+            for (w1, s1), (w2, s2) in itertools.combinations(orbits, 2)
             if all(w1.count(c) == w2.count(c) for c in range(m.n_cells))
             and abs(s1 - s2) > threshold
         ]
         if cands:
-            _, w1, w2, x1, x2, s1, s2 = min(cands, key=lambda c: (-c[0], c[1], c[2]))
-            return CohomologyReport(Witness(w1, w2, x1, x2, s1, s2), p, "WitnessFound")
+            _, w1, w2, s1, s2 = min(cands, key=lambda c: (-c[0], c[1], c[2]))
+            return CohomologyReport(Witness(w1, w2, s1, s2), p, "WitnessFound")
     return CohomologyReport(None, max_period, "NoWitnessUpToPeriod")
 
 
@@ -320,7 +321,6 @@ def _assert_tight(roof, slope_sup):
 
 def test_validate_accepts_builtin_roofs():
     assert _oracle_accepts(xsq_roof())
-    assert _oracle_accepts(cosine_roof(doubling_map(), 2, Fraction(1, 2)))
     assert _oracle_accepts(
         per_branch_polynomial_roof(three_branch_map(), [(1,), (2,), (Fraction(3, 2),)])
     )
@@ -329,8 +329,6 @@ def test_validate_accepts_builtin_roofs():
 def test_roof_must_be_positive():
     with pytest.raises(InvalidRoof):
         polynomial_roof(doubling_map(), (Fraction(0), Fraction(1)))  # r(0) = 0
-    with pytest.raises(InvalidRoof, match=r"need mean > \|amplitude\|"):
-        cosine_roof(doubling_map(), 1, 2)
 
 
 def test_per_branch_roof_needs_one_list_per_cell():
@@ -464,17 +462,6 @@ def test_per_branch_upper_bound_covers_values(tails):
     roof = per_branch_polynomial_roof(three_branch_map(), [[Fraction(4)] + t for t in tails])
     assert _oracle_accepts(roof)
     _assert_tight(roof, slope_sup=6)  # |p'| <= 1 + 2 + 3 on [0, 1]
-
-
-@given(
-    st.floats(min_value=1.0, max_value=3.0),
-    st.floats(min_value=-0.9, max_value=0.9),
-    st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=25, deadline=None)
-def test_cosine_upper_bound_covers_values(mean, amplitude, frequency):
-    roof = cosine_roof(doubling_map(), mean, amplitude, frequency)
-    assert roof.upper_bound >= _probe(roof)[1] - 1e-12
 
 
 @given(

@@ -19,9 +19,10 @@ from mixlab.markov_maps import (
     expanding_circle_map,
     three_branch_map,
 )
-from mixlab.roof import constant_roof, per_branch_polynomial_roof, perturb_bump, polynomial_roof
+from mixlab.roof import constant_roof, per_branch_polynomial_roof, polynomial_roof
 from mixlab.solenoid import build as build_solenoid
 from mixlab.suspension import (
+    DEFAULT_DT,
     FIBER_DEPTH,
     MAX_THREADS,
     CorrelationSeries,
@@ -36,6 +37,8 @@ from mixlab.suspension import (
     svg_log_plot,
     temporal_distance,
 )
+
+from bump import perturb_bump
 
 
 def _xsq_susp():
@@ -316,10 +319,11 @@ def test_sampling_envelope_covers_a_narrow_bump():
 
 def test_default_times_grid():
     susp = _const_susp()
-    times = susp.default_times(0.5, 4.0)
-    assert len(times) == 9
+    times = susp.default_times(4.0)
+    assert DEFAULT_DT == 0.1
+    assert len(times) == 41
     assert times[0] == 0.0 and times[-1] == pytest.approx(4.0)
-    assert np.allclose(np.diff(times), 0.5)
+    assert np.allclose(np.diff(times), DEFAULT_DT)
 
 
 def test_correlation_at_zero_is_variance():
@@ -712,11 +716,9 @@ def _pairwise_td(susp, x, y, depth):
     """Step-by-step oracle: pull both points back together along branch 0,
     summing differences."""
     bm, roof = susp.base_map, susp.roof
-    chain = (0,) * depth
-    exact = roof.exact and isinstance(x, Fraction) and isinstance(y, Fraction)
-    px, py = (Fraction(x), Fraction(y)) if exact else (float(x), float(y))
-    total = Fraction(0) if exact else 0.0
-    for k in chain:
+    px, py = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for k in (0,) * depth:
         for p in (px, py):
             try:
                 cell = bm.cell_index(p)
@@ -798,13 +800,24 @@ def test_temporal_distance_keeps_float_points_off_exact_sums():
     susp = suspend(roof.base, roof)
     exact = temporal_distance(susp, Fraction(1, 32), Fraction(3, 32), 10)
     assert isinstance(exact.value, Fraction) and set(seen) == {Fraction}
-    del seen[:]
-    # 0.03125 == Fraction(1, 32) and hashes alike, yet it is pulled back again
-    floats = temporal_distance(susp, 0.03125, 0.09375, 10)
-    assert isinstance(floats.value, float)
-    assert len(seen) == 20 and set(seen) == {float}
-    assert floats.value == pytest.approx(float(_pairwise_td(susp, 0.03125, 0.09375, 10)), abs=1e-14)
-    assert floats.value == pytest.approx(float(exact.value), abs=1e-14)
+    assert exact.value == _pairwise_td(susp, Fraction(1, 32), Fraction(3, 32), 10)
+    # 0.03125 == Fraction(1, 32) and hashes alike, yet it never reads the memo
+    with pytest.raises(ValueError, match="rational points on an exact roof"):
+        temporal_distance(susp, 0.03125, Fraction(3, 32), 10)
+
+
+def test_temporal_distance_refuses_float_points_and_inexact_roofs():
+    susp = _xsq_susp()
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for x, y in ((0.5, quarter), (half, 0.25), (0.5, 0.25), (np.float64(0.5), quarter)):
+        with pytest.raises(ValueError, match="rational points on an exact roof"):
+            temporal_distance(susp, x, y, 5)
+    base = doubling_map()
+    floats = suspend(base, polynomial_roof(base, (1.0, 0.0, 1.0)))
+    assert not floats.roof.exact
+    with pytest.raises(ValueError, match="rational points on an exact roof"):
+        temporal_distance(floats, half, quarter, 5)
+    assert susp._backward_sums == {} and floats._backward_sums == {}
 
 
 def test_temporal_distance_inadmissible_chain_stores_nothing():
@@ -818,7 +831,7 @@ def test_temporal_distance_inadmissible_chain_stores_nothing():
     # an admissible first point keeps its sum; the refused one leaves none
     with pytest.raises(BracketUndefined):
         temporal_distance(susp, Fraction(1, 2), y, 1)
-    assert [key[1] for key in susp._backward_sums] == [Fraction(1, 2)]
+    assert [key[0] for key in susp._backward_sums] == [Fraction(1, 2)]
 
 
 # -- observables and plots -------------------------------------------------------

@@ -404,6 +404,22 @@ def test_polynomial_operator_preserves_integral():
     assert abs(op.weights @ np.ones(len(v)) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "map_", [doubling_map(), three_branch_map(), expanding_circle_map(5)],
+    ids=["doubling", "three_branch", "circle_5"],
+)
+def test_polynomial_leading_pair_is_the_cell_density(map_):
+    # the right eigenvector is the exact cell density, read at every node of
+    # its cell; the left one is the integral
+    op = polynomial_operator(map_, 16)
+    left, right = op.leading_pair()
+    density = [float(h) for h in cell_density(map_)]
+    assert right.tobytes() == np.repeat(density, op.degree + 1).tobytes()
+    assert left.tobytes() == op.weights.tobytes()
+    assert np.max(np.abs(op.matrix @ right - right)) <= 1e-13
+    assert abs(op.weights @ right - 1.0) <= 4 * np.finfo(float).eps
+
+
 def _skewed_doubling():
     # the first branch's image [0, 3/4) is not a union of cells
     half = Fraction(1, 2)

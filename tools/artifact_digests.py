@@ -7,10 +7,14 @@ Usage, from anywhere in a checkout:
 Each subcommand except repro (the keys of `mixlab.cli._HANDLERS`) runs on
 each configs/*.cfg in a fresh process, writing into a temporary directory
 (correlate at --format csv+svg).  Every file committed under out/<config>/
-is compared byte for byte with its regenerated copy.  Then `mixlab repro --threads 1` runs once.  One sha256
-line is printed per regenerated file and per subcommand's standard output
-(with the temporary directory cut out), so two checkouts can be compared
-line by line.  Exits 1 if any committed file is missing or differs.
+is compared byte for byte with its regenerated copy.  Then `mixlab repro
+--threads 1` runs once, and one untraced pass of each perfbench workload runs
+at seed 5 with one worker, as `tools/reach.py` runs it.  One sha256 line is
+printed per regenerated file and per subcommand's standard output (with the
+temporary directory cut out), and one per workload pass (the digest the
+benchmark compares across passes, with the pass's check verdict), so two
+checkouts can be compared line by line.  Exits 1 if any committed file is
+missing or differs, or a workload pass fails its own check.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from mixlab.cli import _HANDLERS  # noqa: E402
 
 COMMANDS = [name for name in _HANDLERS if name != "repro"]
+PERFBENCH_SEED = 5
 
 
 def mixlab(args: list[str], tmp: Path) -> tuple[int, bytes]:
@@ -76,8 +81,26 @@ def main() -> int:
         print(f"repro exit {code}")
         for path in files_under(repro):
             print(f"{digest(path.read_bytes())}  {path.relative_to(tmp)}")
-    print(f"{failures} committed file(s) missing or different")
+    failures += perfbench_passes()
+    print(f"{failures} committed file(s) missing or different, or workload check(s) failed")
     return 1 if failures else 0
+
+
+def perfbench_passes() -> int:
+    """Print each perfbench workload's pass digest; the number of failed checks."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from tracing import NullTracer
+    from workloads import WORKLOADS
+
+    failed = 0
+    for name, cls in WORKLOADS.items():
+        workload = cls(PERFBENCH_SEED, NullTracer(), 1)
+        checks, pass_digest = workload.check(workload.run_pass().outputs)
+        bad = [c.name for c in checks if not c.passed]
+        verdict = f"{len(bad)} of {len(checks)} checks failed: {', '.join(bad)}" if bad else "checks pass"
+        print(f"{pass_digest}  perfbench/{name} ({verdict})")
+        failed += len(bad)
+    return failed
 
 
 if __name__ == "__main__":
