@@ -2,14 +2,18 @@
 and the `mixlab repro` subcommand.
 
 Each check builds its own models, runs the relevant pipelines, and
-returns a CheckResult whose detail string contains only values that are
-deterministic for a given seed; wall-clock timings live in a separate
-field so emitted artifacts stay byte-identical across runs and thread
-counts.
+returns its clauses' verdict, a detail string that holds only values
+that are deterministic for a given seed, and its artifacts.  The
+`_criterion` decorator does the rest for every check: it times the
+body, fails a check that overruns its wall-clock budget, wraps the
+result in a CheckResult, and registers the check in `CHECKS` in
+definition order.  Wall-clock timings live in a separate field, so
+emitted artifacts stay byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -37,9 +41,8 @@ from .solenoid import check_domination
 from .suspension import DEFAULT_BATCH, correlation, default_observables, fit_rate, suspend
 from .suspension import _tdist_grid
 from .transfer_operator import (
-    build_ulam,
+    cell_density,
     duality_check,
-    invariant_density,
     polynomial_operator,
     resonance,
     resonances,
@@ -62,13 +65,40 @@ class CheckResult:
         return f"{flag} criterion {self.criterion:2d} [{self.name}] {self.detail}"
 
 
+CHECKS = []  # every check, in criterion order, as `_criterion` registers it
+
+
+def _criterion(number: int, name: str, budget_s: float | None = None):
+    """Register a check body as criterion `number`.
+
+    The body takes (seed, threads) and returns (passed, detail,
+    artifacts).  The registered check times it, ANDs in elapsed <
+    budget_s when a budget is given, and returns the CheckResult.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def check(seed: int = 42, threads: int = 1) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail, artifacts = body(seed, threads)
+            elapsed = time.perf_counter() - t0
+            if budget_s is not None:
+                passed = passed and elapsed < budget_s
+            return CheckResult(number, name, passed, detail, elapsed, tuple(artifacts))
+
+        CHECKS.append(check)
+        return check
+
+    return register
+
+
 def _grid16():
     return [Fraction(2 * i + 1, 32) for i in range(16)]
 
 
-def check_witness_gap(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(1, "witness_gap", budget_s=1.0)
+def check_witness_gap(seed, threads):
     """Exact periodic-orbit witness for the 1+x^2 roof over doubling."""
-    t0 = time.perf_counter()
     base = doubling_map()
     roof = polynomial_roof(base, (1, 0, 1))
     report = witness_search(roof, max_period=4)
@@ -79,77 +109,60 @@ def check_witness_gap(seed: int = 42, threads: int = 1) -> CheckResult:
     report_f = witness_search(roof_f, max_period=4)
     float_ok = report_f.found and abs(float(report_f.witness.gap) - float(want)) <= 1e-12
 
-    elapsed = time.perf_counter() - t0
     gap = report.witness.gap if report.found else None
     fgap = float(report_f.witness.gap) if report_f.found else math.nan
-    return CheckResult(
-        criterion=1,
-        name="witness_gap",
-        passed=exact_ok and float_ok and elapsed < 1.0,
-        detail=f"exact gap {gap} (want 4/45), float gap {fgap!r}, budget 1s",
-        elapsed=elapsed,
-        artifacts=(("witness.csv", report.to_csv()),),
+    return (
+        exact_ok and float_ok,
+        f"exact gap {gap} (want 4/45), float gap {fgap!r}, budget 1s",
+        [("witness.csv", report.to_csv())],
     )
 
 
-def check_coboundary(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(2, "coboundary_soundness")
+def check_coboundary(seed, threads):
     """r = 1+x is a coboundary off the locally constant part; no witness."""
-    t0 = time.perf_counter()
     base = doubling_map()
     roof = polynomial_roof(base, (1, 1))
     residual = certify_coboundary(roof, lambda x: x)
     report = witness_search(roof, max_period=8)
     no_witness = report.verdict == "NoWitnessUpToPeriod"
-    elapsed = time.perf_counter() - t0
     text = (
         "quantity,value,tolerance\n"
         f"coboundary_residual,{residual:.17g},1e-12\n"
         f"witness_periods_searched,{report.searched_periods},0\n"
     )
-    return CheckResult(
-        criterion=2,
-        name="coboundary_soundness",
-        passed=residual <= 1e-12 and no_witness,
-        detail=f"residual {residual:.3e} (tol 1e-12), verdict {report.verdict} at period 8",
-        elapsed=elapsed,
-        artifacts=(("coboundary.csv", text),),
+    return (
+        residual <= 1e-12 and no_witness,
+        f"residual {residual:.3e} (tol 1e-12), verdict {report.verdict} at period 8",
+        [("coboundary.csv", text)],
     )
 
 
-def check_transfer_operator(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(3, "transfer_operator", budget_s=30.0)
+def check_transfer_operator(seed, threads):
     """Doubling: spectrum, uniform density, operator duality.
 
-    The leading-eigenvalue, density and duality clauses read the Ulam
-    matrix at 1024 bins.  The subleading-eigenvalue clause targets 0.5,
-    the decay rate of the transfer operator on smooth observables, and
-    reads it from the piecewise-polynomial operator: deflated power
-    iteration at degree 16 and a dense eigensolve at degree 8.  For an
-    affine Markov map that space is invariant under L, so both read 1/2
-    up to roundoff at any degree.
-
-    Ulam cannot give that number on the pinned grids, so its readings
-    are kept only as diagnostic rows.  Bin averaging turns doubling on
-    2**k bins into a chain that is exactly uniform after k steps: the
-    matrix is nilpotent away from the leading eigenvalue, and both the
-    power iteration at 1024 and the dense solve at 64 see only roundoff
-    (roughly eps**(1/k) smearing of the Jordan blocks).  Every even bin
-    count with an odd factor carries eigenvalues of modulus exactly 0.5:
-    over a cycle k -> 2k mod N of length L the multipliers |cos(pi k/N)|
-    telescope to 2**-L by the sine doubling identity, which the N=96 row
-    shows.
+    The leading-eigenvalue and density clauses read the exact invariant
+    density `cell_density` and the cell matrix M[j][k] = T[k][j]/|slope_k|
+    it solves h = M h on, for L keeps functions constant on the cells of
+    an affine Markov map.  The cell lengths are a positive left fixed
+    vector of M for every such map, so its leading eigenvalue is 1 on any
+    of them.  The subleading-eigenvalue clause targets 0.5, the decay
+    rate of L on smooth observables, and reads it from the
+    piecewise-polynomial operator: deflated power iteration at degree 16
+    and a dense eigensolve at degree 8.  That space is invariant under L
+    too, so both read 1/2 up to roundoff at any degree.
     """
-    t0 = time.perf_counter()
     base = doubling_map()
-    op = build_ulam(base, 1024)
-    dens = invariant_density(op)
-
-    widths = np.diff(op.bin_edges)
-    masses = dens.values * widths  # converged mass vector, left eigenvector
-    pushed = masses @ op.matrix
-    leading = float(pushed.sum() / masses.sum())  # L1 Rayleigh quotient
+    density, edges = cell_density(base), base.edges
+    slopes = np.array([abs(float(b.slope)) for b in base.branches])
+    cells = np.array(base.transition, dtype=float).T / slopes  # M[j][k] = T[k][j] / |slope_k|
+    leading = float(np.max(np.abs(np.linalg.eigvals(cells))))
     leading_ok = abs(leading - 1.0) <= 1e-10
-
-    sup_dev = float(np.max(np.abs(dens.values - 1.0)))
+    h = np.array(density, dtype=float)
+    # L1 defect of h = M h, and the density's distance from uniform
+    residual = float(np.abs(cells @ h - h) @ np.diff(np.array(edges, dtype=float)))
+    sup_dev = float(np.max(np.abs(h - 1.0)))
     uniform_ok = sup_dev <= 1e-8
 
     rng = np.random.default_rng([seed, 3])
@@ -163,14 +176,9 @@ def check_transfer_operator(seed: int = 42, threads: int = 1) -> CheckResult:
     duality_ok = worst_duality <= 1e-6
 
     lam2 = spectral_gap(polynomial_operator(base, 16))
-    lam2_dense = _second_modulus(polynomial_operator(base, 8).matrix)
+    lam2_dense = float(np.sort(np.abs(np.linalg.eigvals(polynomial_operator(base, 8).matrix)))[-2])
     lam2_ok = abs(lam2 - 0.5) <= 0.01 and abs(lam2_dense - 0.5) <= 0.01
-    # Ulam diagnostics, not clauses
-    ulam_1024 = spectral_gap(op)
-    ulam_64 = _second_modulus(build_ulam(base, 64).matrix)
-    ulam_96 = spectral_gap(build_ulam(base, 96))
 
-    elapsed = time.perf_counter() - t0
     summary = (
         "quantity,value,tolerance\n"
         f"leading_eigenvalue,{leading:.17g},1e-10\n"
@@ -178,33 +186,22 @@ def check_transfer_operator(seed: int = 42, threads: int = 1) -> CheckResult:
         f"worst_duality,{worst_duality:.17g},1e-6\n"
         f"lambda2_power_poly16,{lam2:.17g},0.01\n"
         f"lambda2_dense_poly8,{lam2_dense:.17g},0.01\n"
-        f"lambda2_power_1024_diag,{ulam_1024:.17g},0.01\n"
-        f"lambda2_dense_64_diag,{ulam_64:.17g},0.01\n"
-        f"lambda2_power_96_diag,{ulam_96:.17g},0.01\n"
     )
-    return CheckResult(
-        criterion=3,
-        name="transfer_operator",
-        passed=leading_ok and uniform_ok and duality_ok and lam2_ok and elapsed < 30.0,
-        detail=(
-            f"leading {leading:.12f}, sup|rho-1| {sup_dev:.2e}, duality {worst_duality:.2e}, "
-            f"|lam2| {lam2:.4f} vs dense {lam2_dense:.4f} on piecewise polynomials (target 0.5, "
-            f"tol 0.01; Ulam reads {ulam_1024:.4f} at N=1024, {ulam_64:.4f} dense at N=64, "
-            f"{ulam_96:.4f} at N=96), budget 30s"
-        ),
-        elapsed=elapsed,
-        artifacts=(("srb_summary.csv", summary), ("density.csv", dens.to_csv())),
+    density_csv = "bin_left,bin_right,value,residual\n" + "".join(
+        f"{lo},{hi},{value},{residual:.17g}\n" for lo, hi, value in zip(edges, edges[1:], density)
+    )
+    return (
+        leading_ok and uniform_ok and duality_ok and lam2_ok,
+        f"leading {leading:.12f}, sup|rho-1| {sup_dev:.2e}, duality {worst_duality:.2e}, "
+        f"|lam2| {lam2:.4f} vs dense {lam2_dense:.4f} on piecewise polynomials (target 0.5, "
+        f"tol 0.01), budget 30s",
+        [("srb_summary.csv", summary), ("density.csv", density_csv)],
     )
 
 
-def _second_modulus(matrix: np.ndarray) -> float:
-    """Second-largest eigenvalue modulus by a dense eigensolve."""
-    return float(np.sort(np.abs(np.linalg.eigvals(matrix)))[-2])
-
-
-def check_constant_roof(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(4, "constant_roof_no_mixing", budget_s=120.0)
+def check_constant_roof(seed, threads):
     """Suspension with r = 1 never mixes: rho(t) = cos(2 pi t)/2."""
-    t0 = time.perf_counter()
     base = doubling_map()
     susp = suspend(base, constant_roof(base, 1))
 
@@ -227,18 +224,11 @@ def check_constant_roof(seed: int = 42, threads: int = 1) -> CheckResult:
         probe_rows.append(f"{t!r},{float(series.values[j])!r},{target!r},{dev!r}")
     fit = fit_rate(series)
 
-    elapsed = time.perf_counter() - t0
     probes_csv = "t,rho,target,abs_dev\n" + "\n".join(probe_rows) + "\n"
-    return CheckResult(
-        criterion=4,
-        name="constant_roof_no_mixing",
-        passed=worst <= 0.01 and fit.verdict == "NoDecay" and elapsed < 120.0,
-        detail=f"worst |rho - cos(2 pi t)/2| {worst:.4f} (tol 0.01), verdict {fit.verdict}, budget 120s",
-        elapsed=elapsed,
-        artifacts=(
-            ("correlation_const_roof.csv", series.to_csv()),
-            ("const_roof_probes.csv", probes_csv),
-        ),
+    return (
+        worst <= 0.01 and fit.verdict == "NoDecay",
+        f"worst |rho - cos(2 pi t)/2| {worst:.4f} (tol 0.01), verdict {fit.verdict}, budget 120s",
+        [("correlation_const_roof.csv", series.to_csv()), ("const_roof_probes.csv", probes_csv)],
     )
 
 
@@ -246,7 +236,8 @@ def check_constant_roof(seed: int = 42, threads: int = 1) -> CheckResult:
 _RESONANCE_STARTS = tuple(1j * (0.5 * k) for k in range(1, 81))
 
 
-def check_exponential_mixing(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(5, "exponential_mixing", budget_s=600.0)
+def check_exponential_mixing(seed, threads):
     """Suspension with r = 1+x^2: fitted decay rate and its stability.
 
     The clauses: a decaying log-linear fit of |rho| at 1M samples
@@ -269,7 +260,6 @@ def check_exponential_mixing(seed: int = 42, threads: int = 1) -> CheckResult:
     shape.  The check keeps the clause as stated, and writes the
     resonances to ``resonances.csv`` as a diagnostic.
     """
-    t0 = time.perf_counter()
     base = doubling_map()
     roof = polynomial_roof(base, (1, 0, 1))
     susp = suspend(base, roof)
@@ -292,34 +282,28 @@ def check_exponential_mixing(seed: int = 42, threads: int = 1) -> CheckResult:
     found = [s for s in scan if 0.0 < s.imag <= 40.0]
     rightmost = resonance(polynomial_operator(base, 39), roof, found[0])
 
-    elapsed = time.perf_counter() - t0
     rows = [(19, s) for s in found] + [(39, rightmost)]
     resonance_csv = "degree,re_s,im_s\n" + "".join(
         f"{degree},{s.real:.10f},{s.imag:.10f}\n" for degree, s in rows
     )
-    return CheckResult(
-        criterion=5,
-        name="exponential_mixing",
-        passed=gamma_ok and r2_ok and stable_ok and elapsed < 600.0,
-        detail=(
-            f"gamma {fit1.decay_rate:.4f} ({fit1.verdict}), R2 {fit1.r_squared:.3f} (need 0.9), "
-            f"doubled-N gamma {fit2.decay_rate:.4f}, drift {100 * drift:.1f}% (tol 15%), budget 600s; "
-            f"rightmost resonance {rightmost.real:.4f}{rightmost.imag:+.4f}i (diag)"
-        ),
-        elapsed=elapsed,
-        artifacts=(
+    return (
+        gamma_ok and r2_ok and stable_ok,
+        f"gamma {fit1.decay_rate:.4f} ({fit1.verdict}), R2 {fit1.r_squared:.3f} (need 0.9), "
+        f"doubled-N gamma {fit2.decay_rate:.4f}, drift {100 * drift:.1f}% (tol 15%), budget 600s; "
+        f"rightmost resonance {rightmost.real:.4f}{rightmost.imag:+.4f}i (diag)",
+        [
             (f"correlation_{name}_1m.csv", series1.to_csv()),
             (f"fit_{name}_1m.txt", fit1.summary()),
             (f"correlation_{name}_2m.csv", series2.to_csv()),
             (f"fit_{name}_2m.txt", fit2.summary()),
             ("resonances.csv", resonance_csv),
-        ),
+        ],
     )
 
 
-def check_inducing_tails(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(6, "inducing_tails")
+def check_inducing_tails(seed, threads):
     """First-return tails of the 3-branch model: exact masses, fitted rate."""
-    t0 = time.perf_counter()
     base = three_branch_map()
     induced = base.induce_first_return(0, depth_cap=12)
     masses = induced.tail_masses()
@@ -337,92 +321,72 @@ def check_inducing_tails(seed: int = 42, threads: int = 1) -> CheckResult:
     target = math.log(1.5)
     alpha_ok = abs(stats.alpha - target) <= 0.1 * target
 
-    elapsed = time.perf_counter() - t0
     tail_csv = "n,mass,predicted,tolerance\n" + "\n".join(rows) + "\n"
     summary = (
         "quantity,value,error\n"
         f"alpha,{stats.alpha:.17g},{stats.alpha_stderr:.17g}\n"
         f"sigma0,{stats.sigma0:.17g},{stats.alpha_stderr / 2:.17g}\n"
     )
-    return CheckResult(
-        criterion=6,
-        name="inducing_tails",
-        passed=exact_ok and alpha_ok,
-        detail=(
-            f"worst |m(R>=n) - (2/3)^(n-2)| = {float(worst):.2e} (tol 1e-12), "
-            f"alpha {stats.alpha:.4f} vs ln(3/2) {target:.4f} (tol 10%)"
-        ),
-        elapsed=elapsed,
-        artifacts=(("tails.csv", tail_csv), ("tails_summary.csv", summary)),
+    return (
+        exact_ok and alpha_ok,
+        f"worst |m(R>=n) - (2/3)^(n-2)| = {float(worst):.2e} (tol 1e-12), "
+        f"alpha {stats.alpha:.4f} vs ln(3/2) {target:.4f} (tol 10%)",
+        [("tails.csv", tail_csv), ("tails_summary.csv", summary)],
     )
 
 
-def check_skew_axioms(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(7, "skew_axioms")
+def check_skew_axioms(seed, threads):
     """Solenoid (2, 20, 1/4): contraction ratio and fiber invariance."""
-    t0 = time.perf_counter()
-    model = build_solenoid(2, 20, Fraction(1, 4))
-    skew = model.skew
+    skew = build_solenoid(2, 20, Fraction(1, 4)).skew
     worst = validate_contraction(skew, pairs=100_000)
     ratio_ok = abs(worst - 0.05) <= 1e-12 and worst <= 0.05 + 1e-12
     overshoot = validate_invariance(skew, probes=1_000)
     invariance_ok = overshoot <= 1e-9
 
-    elapsed = time.perf_counter() - t0
     text = (
         "axiom,status,worst_probe,location,tolerance\n"
         f"fiber_contraction,{'pass' if ratio_ok else 'fail'},{worst:.17g},0,{0.05 + 1e-12:.17g}\n"
         f"fiber_invariance,{'pass' if invariance_ok else 'fail'},{overshoot:.17g},0,1e-09\n"
     )
-    return CheckResult(
-        criterion=7,
-        name="skew_axioms",
-        passed=ratio_ok and invariance_ok,
-        detail=(
-            f"worst ratio {worst:.12f} (want 1/20, zero violations over 1e5 pairs), "
-            f"invariance overshoot {overshoot:.3e} <= 0"
-        ),
-        elapsed=elapsed,
-        artifacts=(("solenoid_axioms.csv", text),),
+    return (
+        ratio_ok and invariance_ok,
+        f"worst ratio {worst:.12f} (want 1/20, zero violations over 1e5 pairs), "
+        f"invariance overshoot {overshoot:.3e} <= 0",
+        [("solenoid_axioms.csv", text)],
     )
 
 
-def check_domination_criterion(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(8, "domination")
+def check_domination_criterion(seed, threads):
     """Domination product passes at (2,20,1/4) and fails at (2,10,1/2)."""
-    t0 = time.perf_counter()
     good = check_domination(build_solenoid(2, 20, Fraction(1, 4)))
     bad = check_domination(build_solenoid(2, 10, Fraction(1, 2)))
     good_ok = good.product_bound <= 0.35 and good.passed
     bad_ok = bad.product_bound > 1.0 and not bad.passed
-    elapsed = time.perf_counter() - t0
     text = (
         "model,product_bound,threshold\n"
         f"solenoid_2_20_quarter,{good.product_bound:.17g},0.35\n"
         f"solenoid_2_10_half,{bad.product_bound:.17g},1\n"
     )
-    return CheckResult(
-        criterion=8,
-        name="domination",
-        passed=good_ok and bad_ok,
-        detail=(
-            f"(2,20,1/4) bound {good.product_bound:.4f} <= 0.35 pass; "
-            f"(2,10,1/2) bound {bad.product_bound:.4f} > 1 fail as intended"
-        ),
-        elapsed=elapsed,
-        artifacts=(("domination.csv", text),),
+    return (
+        good_ok and bad_ok,
+        f"(2,20,1/4) bound {good.product_bound:.4f} <= 0.35 pass; "
+        f"(2,10,1/2) bound {bad.product_bound:.4f} > 1 fail as intended",
+        [("domination.csv", text)],
     )
 
 
-def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(9, "disintegration")
+def check_disintegration(seed, threads):
     """Fiber measures of the solenoid: barycenter, mass, route agreement.
 
     The fiber disk radius is 1/3 so the forward sandwich bracket, whose
     width is kappa^depth * Lip * diam, fits under the kappa^depth * Lip
     budget; the default unit disk would double it.
     """
-    t0 = time.perf_counter()
     depth = 20
-    model = build_solenoid(2, 20, Fraction(1, 4), fiber_radius=Fraction(1, 3))
-    skew = model.skew
+    skew = build_solenoid(2, 20, Fraction(1, 4), fiber_radius=Fraction(1, 3)).skew
     dis = Disintegration(skew, depth=depth)
 
     def re_z(xs, zs):
@@ -448,7 +412,6 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
     agree_ok = abs(integral - sw.midpoint) <= combined
     gap_ok = sw.gap <= skew.kappa**depth * lip
 
-    elapsed = time.perf_counter() - t0
     grid_csv = "theta,eta_re_z,error_bound\n" + "\n".join(
         f"{th:.17g},{v:.17g},{trunc:.17g}" for th, v in zip(grid, re_vals)
     ) + "\n"
@@ -459,24 +422,19 @@ def check_disintegration(seed: int = 42, threads: int = 1) -> CheckResult:
         f"sandwich_upper,{sw.upper:.17g},{sw.stat_error:.17g}\n"
         f"gap,{sw.gap:.17g},0\n"
     )
-    return CheckResult(
-        criterion=9,
-        name="disintegration",
-        passed=re_ok and mass_ok and agree_ok and gap_ok,
-        detail=(
-            f"max|eta(Re z)| {max(abs(v) for v in re_vals):.2e} (tol 1e-3), "
-            f"max|eta(1)-1| {max(mass_devs):.2e} (tol 1e-9), "
-            f"|integral - sandwich| {abs(integral - sw.midpoint):.2e} <= {combined:.2e}, "
-            f"gap {sw.gap:.2e} <= {skew.kappa ** depth * lip:.2e}"
-        ),
-        elapsed=elapsed,
-        artifacts=(("eta_grid.csv", grid_csv), ("sandwich.csv", sandwich_csv)),
+    return (
+        re_ok and mass_ok and agree_ok and gap_ok,
+        f"max|eta(Re z)| {max(abs(v) for v in re_vals):.2e} (tol 1e-3), "
+        f"max|eta(1)-1| {max(mass_devs):.2e} (tol 1e-9), "
+        f"|integral - sandwich| {abs(integral - sw.midpoint):.2e} <= {combined:.2e}, "
+        f"gap {sw.gap:.2e} <= {skew.kappa ** depth * lip:.2e}",
+        [("eta_grid.csv", grid_csv), ("sandwich.csv", sandwich_csv)],
     )
 
 
-def check_temporal_distance(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(10, "temporal_distance_dichotomy")
+def check_temporal_distance(seed, threads):
     """Dichotomy: zero for locally constant roofs, stable nonzero for 1+x^2."""
-    t0 = time.perf_counter()
     base = doubling_map()
     grid = _grid16()
 
@@ -491,26 +449,21 @@ def check_temporal_distance(seed: int = 42, threads: int = 1) -> CheckResult:
     rel = abs(float(m40 - m30)) / max(float(m30), float(m40)) if m30 > 0 else math.inf
     stable_ok = rel <= 0.01
 
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        criterion=10,
-        name="temporal_distance_dichotomy",
-        passed=lc_ok and nonzero_ok and stable_ok,
-        detail=(
-            f"locally constant max {float(worst_lc):.1e} (tol 1e-9); "
-            f"1+x^2 max {float(m30):.6f} at depth 30 vs {float(m40):.6f} at 40, "
-            f"rel change {100 * rel:.2e}% (tol 1%)"
-        ),
-        elapsed=elapsed,
-        artifacts=(
+    return (
+        lc_ok and nonzero_ok and stable_ok,
+        f"locally constant max {float(worst_lc):.1e} (tol 1e-9); "
+        f"1+x^2 max {float(m30):.6f} at depth 30 vs {float(m40):.6f} at 40, "
+        f"rel change {100 * rel:.2e}% (tol 1%)",
+        [
             ("tdist_locally_constant.csv", lc_csv),
             ("tdist_xsq_depth30.csv", csv30),
             ("tdist_xsq_depth40.csv", csv40),
-        ),
+        ],
     )
 
 
-def check_determinism(seed: int = 42, threads: int = 1) -> CheckResult:
+@_criterion(11, "determinism")
+def check_determinism(seed, threads):
     """Thread-count independence of the threaded estimator, in process.
 
     Reduced-scale sibling of the shell-level check (`mixlab repro` run
@@ -520,45 +473,18 @@ def check_determinism(seed: int = 42, threads: int = 1) -> CheckResult:
     (``height_mix`` here) takes, and the place where a worker count could
     leak into results; the per-step route has its own test.
     """
-    t0 = time.perf_counter()
     base = doubling_map()
     susp = suspend(base, polynomial_roof(base, (1, 0, 1)))
     name, phi, psi = default_observables(susp)[0]
     times = np.round(np.arange(0.0, 3.0 + 1e-9, 0.1), 10)
-    csv1 = correlation(
-        susp, phi, psi, times=times, samples=40_000, seed=seed, threads=1, batch_size=5_000
-    ).to_csv()
-    csv8 = correlation(
-        susp, phi, psi, times=times, samples=40_000, seed=seed, threads=8, batch_size=5_000
-    ).to_csv()
+    run = dict(times=times, samples=40_000, seed=seed, batch_size=5_000)
+    csv1, csv8 = (correlation(susp, phi, psi, threads=n, **run).to_csv() for n in (1, 8))
     identical = csv1 == csv8
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        criterion=11,
-        name="determinism",
-        passed=identical,
-        detail=(
-            f"threads 1 vs 8 correlation CSVs byte-identical: {identical} "
-            f"(40000 samples, 8 batches)"
-        ),
-        elapsed=elapsed,
-        artifacts=((f"determinism_{name}.csv", csv1),),
+    return (
+        identical,
+        f"threads 1 vs 8 correlation CSVs byte-identical: {identical} (40000 samples, 8 batches)",
+        [(f"determinism_{name}.csv", csv1)],
     )
-
-
-CHECKS = (
-    check_witness_gap,
-    check_coboundary,
-    check_transfer_operator,
-    check_constant_roof,
-    check_exponential_mixing,
-    check_inducing_tails,
-    check_skew_axioms,
-    check_domination_criterion,
-    check_disintegration,
-    check_temporal_distance,
-    check_determinism,
-)
 
 
 def run_all(seed: int = 42, threads: int = 1) -> list[CheckResult]:

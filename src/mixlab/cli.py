@@ -278,23 +278,22 @@ def cmd_solenoid(cfg: ExperimentConfig, rt: Runtime) -> int:
     return 0 if ok else 1
 
 
-def cmd_repro(cfg: ExperimentConfig, rt: Runtime) -> int:
-    results = run_all(seed=rt.seed, threads=rt.threads)
-    report_rows = []
+def write_repro_tree(results, out_dir: str) -> int:
+    """Write each CheckResult's artifacts and repro_report.csv; the exit code the verdicts imply."""
+    rows = []
     for r in results:
         print(f"{r.line}  [{r.elapsed:.1f}s]")
-        sub = os.path.join(rt.out_dir, f"criterion_{r.criterion:02d}")
         for name, text in r.artifacts:
-            _write_artifact(sub, name, text)
-        report_rows.append((r.criterion, r.name, "PASS" if r.passed else "FAIL", r.detail))
-    _write_artifact(
-        rt.out_dir,
-        "repro_report.csv",
-        _rows_csv(("criterion", "name", "status", "detail"), report_rows),
-    )
+            _write_artifact(os.path.join(out_dir, f"criterion_{r.criterion:02d}"), name, text)
+        rows.append((r.criterion, r.name, "PASS" if r.passed else "FAIL", r.detail))
+    _write_artifact(out_dir, "repro_report.csv", _rows_csv(("criterion", "name", "status", "detail"), rows))
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
+
+
+def cmd_repro(cfg: ExperimentConfig, rt: Runtime) -> int:
+    return write_repro_tree(run_all(seed=rt.seed, threads=rt.threads), rt.out_dir)
 
 
 _HANDLERS = {

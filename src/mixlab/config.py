@@ -49,7 +49,7 @@ class RunSettings:
     seed: int = 42
     samples: int = 200_000
     depth: int = 20
-    depth_cap: int = 40
+    depth_cap: int = 12
     t_max: float | None = None
 
 

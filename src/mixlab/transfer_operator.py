@@ -5,11 +5,9 @@ Pointwise application sums over inverse branches with Jacobian weights.
 map, which is constant on cells.  Two discretizations are provided:
 
 - The Ulam scheme works on equal-width bins that refine the Markov
-  partition of an affine Markov map.  Each branch sends a bin onto an
-  interval whose ends are integer ratios on the bin grid, so the matrix is
-  assembled from integer overlaps with one float division per entry.
-  Power iteration on the discretized adjoint produces the absolutely
-  continuous invariant density.
+  partition, and power-iterates its adjoint to the invariant density.  No
+  subcommand or acceptance check reads it; the perfbench `certify`
+  workload still times it.
 - The polynomial scheme works on piecewise polynomials of a fixed degree
   on each Markov cell, collocated at Chebyshev points.  For affine Markov
   maps that space is invariant, so the matrix is the operator itself

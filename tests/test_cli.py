@@ -241,14 +241,20 @@ def test_tails_exact_masses(tmp_path):
 
 
 def test_tails_without_depth_cap_exits_two_before_enumerating(tmp_path, capsys):
-    # the default cap of 40 would walk 2^40 - 1 excursion paths out of cell 0;
+    # a cap of 40 would walk 2^40 - 1 excursion paths out of cell 0;
     # counting them from the transition matrix refuses the run at once
-    text = THREE_BRANCH.replace("depth_cap = 12\n", "")
+    text = THREE_BRANCH.replace("depth_cap = 12\n", "depth_cap = 40\n")
     t0 = time.perf_counter()
     assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "DepthOverflow" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tails.csv").exists()
+    # an omitted key takes the default cap 12, which fits the path budget
+    text = THREE_BRANCH.replace("depth_cap = 12\n", "")
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, text)) == 0
+    omitted = _read(tmp_path, "tails.csv")
+    assert run(tmp_path, "tails", "--config", _cfg(tmp_path, THREE_BRANCH)) == 0
+    assert omitted == _read(tmp_path, "tails.csv")
 
 
 def _roof_upper_of_tails_fit(tmp_path):

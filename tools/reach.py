@@ -16,8 +16,10 @@ of run, each writing into a temporary directory:
 
 Worker processes forked during the runs keep the trace and hand their lines
 back when they exit.  A statement counts as reached when a line event fires
-on its first line.  The output lists every statement with code that no run
-reaches, grouped by file and enclosing function, then one summary line.
+on its first line.  The output lists, grouped by file and enclosing
+function, first the statements with code that only the perfbench workloads
+reach (no subcommand and no check does) and their count, then every
+statement that no run reaches and one summary line.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def statements(path: Path) -> dict[int, str]:
     return found
 
 
-def run_everything(out: Path) -> None:
+def run_cli(out: Path) -> None:
     from mixlab.cli import _HANDLERS, main
 
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
@@ -113,6 +115,8 @@ def run_everything(out: Path) -> None:
             main([cmd, "--config", str(cfg), "--out", str(out / cfg.stem), "--threads", "1", *fmt])
     main(["repro", "--threads", "1", "--out", str(out / "repro")])
 
+
+def run_workloads() -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from tracing import NullTracer
     from workloads import WORKLOADS
@@ -120,6 +124,23 @@ def run_everything(out: Path) -> None:
     for cls in WORKLOADS.values():
         workload = cls(PERFBENCH_SEED, NullTracer(), 1)
         workload.check(workload.run_pass().outputs)
+
+
+def listing(found: dict[Path, dict[int, str]], keep) -> int:
+    """Print the statements whose (file, line) key passes `keep`, grouped; their count."""
+    count = 0
+    for path, scopes in found.items():
+        source = path.read_text().splitlines()
+        by_scope: dict[str, list[int]] = {}
+        for line, scope in sorted(scopes.items()):
+            if keep((str(path), line)):
+                by_scope.setdefault(scope, []).append(line)
+        for scope, lines in by_scope.items():
+            print(f"{path.relative_to(ROOT)}  {scope}")
+            for line in lines:
+                print(f"    {line:5d}  {source[line - 1].strip()[:96]}")
+            count += len(lines)
+    return count
 
 
 def main() -> int:
@@ -131,25 +152,18 @@ def main() -> int:
         trace.start()  # before mixlab is imported, so module bodies count too
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                run_everything(tmp / "out")
+                run_cli(tmp / "out")
+                by_cli = trace.merged()
+                run_workloads()
         finally:
             trace.stop()
         reached = trace.merged()
 
-    total = missed = 0
-    for path in sorted(SRC.glob("*.py")):
-        found = statements(path)
-        total += len(found)
-        source = path.read_text().splitlines()
-        by_scope: dict[str, list[int]] = {}
-        for line, scope in sorted(found.items()):
-            if (str(path), line) not in reached:
-                by_scope.setdefault(scope, []).append(line)
-        for scope, lines in by_scope.items():
-            print(f"{path.relative_to(ROOT)}  {scope}")
-            for line in lines:
-                print(f"    {line:5d}  {source[line - 1].strip()[:96]}")
-            missed += len(lines)
+    found = {path: statements(path) for path in sorted(SRC.glob("*.py"))}
+    total = sum(len(scopes) for scopes in found.values())
+    only = listing(found, lambda key: key in reached and key not in by_cli)
+    print(f"{only} statements under src/mixlab reached only by the perfbench workloads")
+    missed = listing(found, lambda key: key not in reached)
     print(f"{missed} of {total} statements under src/mixlab reached by no run")
     return 0
 
